@@ -7,10 +7,12 @@ and costume name. The last maps each occurrence ID to the shot holding it,
 which is how occurrence-level intersections land back on shots.
 
 An index set is valid for exactly one corpus state and records the corpus
-fingerprint at build time; loading an index against a corpus with a
-different fingerprint is refused. Posting lists are sorted and duplicate
-free, and serialization is canonical, so building the same corpus twice
-yields byte-identical files.
+fingerprint at build time (see ``model.corpus_fingerprint``); loading an
+index against a corpus with a different fingerprint is refused. The file
+carries a ``"format"`` version beside ``"fingerprint"`` and ``"files"``;
+a file of any other format, or of none, is refused and must be rebuilt.
+Posting lists are sorted and duplicate free, and serialization is
+canonical, so building the same corpus twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .model import Corpus, corpus_fingerprint
+from .model import Corpus, corpus_fingerprint, write_text_atomic
 from .normalize import normalize_body_part, normalize_key
 
 
@@ -29,6 +31,9 @@ class IndexMismatchError(Exception):
 class IndexFormatError(Exception):
     """The index file is not a valid serialized index set."""
 
+
+# Version of the index file layout and of the fingerprint it stores.
+INDEX_FORMAT = 2
 
 _POSTING_FILES = (
     "dancers",
@@ -117,6 +122,7 @@ def build_index(corpus: Corpus) -> IndexSet:
 
 def dumps_index(index: IndexSet) -> str:
     doc = {
+        "format": INDEX_FORMAT,
         "fingerprint": index.fingerprint,
         "files": {
             name: {key: list(values) for key, values in getattr(index, name).items()}
@@ -127,8 +133,7 @@ def dumps_index(index: IndexSet) -> str:
 
 
 def save_index(index: IndexSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_index(index))
+    write_text_atomic(path, dumps_index(index))
 
 
 def loads_index(text: str) -> IndexSet:
@@ -136,8 +141,13 @@ def loads_index(text: str) -> IndexSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IndexFormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict) or set(doc) != {"fingerprint", "files"}:
-        raise IndexFormatError("expected an object with 'fingerprint' and 'files'")
+    if not isinstance(doc, dict) or set(doc) - {"format"} != {"fingerprint", "files"}:
+        raise IndexFormatError("expected an object with 'format', 'fingerprint' and 'files'")
+    if doc.get("format") != INDEX_FORMAT:
+        found = repr(doc["format"]) if "format" in doc else "missing"
+        raise IndexFormatError(
+            f"index format is {found}, expected {INDEX_FORMAT}; rebuild the index"
+        )
     if not isinstance(doc["fingerprint"], str):
         raise IndexFormatError("fingerprint must be a string")
     files = doc["files"]
@@ -172,7 +182,5 @@ def load_index(path, corpus: Corpus | None = None) -> IndexSet:
     return index
 
 
-# fields() sanity: _POSTING_FILES must track the dataclass
-assert set(_POSTING_FILES) == {
-    f.name for f in fields(IndexSet) if f.name != "fingerprint"
-}
+if set(_POSTING_FILES) != {f.name for f in fields(IndexSet) if f.name != "fingerprint"}:
+    raise RuntimeError("_POSTING_FILES does not match the IndexSet fields")

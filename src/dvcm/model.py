@@ -18,10 +18,12 @@ Corpora are immutable after loading; every operation here is a pure read.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import enum
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 STEP_CLASSES = ("PY", "AD", "ASHA", "SHA", "CS")
@@ -233,9 +235,9 @@ class Corpus:
     """The immutable annotation store: entity catalogs keyed by ID.
 
     Derived lookup tables (occurrence registry, step-definition usage) are
-    built once at construction and never mutated afterwards; they are
-    excluded from equality so that structural equality is defined purely by
-    the annotated data.
+    built once at construction and never mutated afterwards; the fingerprint
+    is cached on first use. They are excluded from equality so that
+    structural equality is defined purely by the annotated data.
     """
 
     videos: dict[str, Video] = field(default_factory=dict)
@@ -257,6 +259,10 @@ class Corpus:
     _occs_by_step_def: dict[str, tuple[str, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # corpus_fingerprint's cached value
+    _fingerprint: str | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.rebuild_lookup_tables()
@@ -272,6 +278,7 @@ class Corpus:
         self._occs_by_step_def = {
             sid: tuple(sorted(ids)) for sid, ids in by_step.items()
         }
+        self._fingerprint = None
 
     def shot(self, shot_id: str) -> Shot:
         try:
@@ -1112,11 +1119,36 @@ def dumps_corpus(corpus: Corpus) -> str:
     return json.dumps(corpus_document(corpus), indent=2, sort_keys=True) + "\n"
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path by way of ``<path>.tmp`` and a rename.
+
+    An interrupted or failed write leaves the previous file, or none, in
+    place and removes the temporary file.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_corpus(corpus))
+    write_text_atomic(path, dumps_corpus(corpus))
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
-    """SHA-256 of the canonical serialization; indexes pin this value."""
-    return hashlib.sha256(dumps_corpus(corpus).encode("utf-8")).hexdigest()
+    """SHA-256 of the compact canonical JSON of the corpus document.
+
+    The hashed text is ``corpus_document`` dumped with sorted keys and no
+    whitespace, which the C JSON encoder produces; it is not the indented
+    file layout. Indexes pin this value. It is computed once per corpus
+    object and cached, since corpora are immutable after construction.
+    """
+    if corpus._fingerprint is None:
+        text = json.dumps(corpus_document(corpus), sort_keys=True, separators=(",", ":"))
+        corpus._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return corpus._fingerprint

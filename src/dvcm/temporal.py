@@ -272,16 +272,25 @@ def evaluate_allen_between_dancers(
         raise ValueError("interval relations between dancers need two distinct dancers")
     if relation not in ALLEN_RELATIONS:
         raise ValueError(f"unknown interval relation: {relation!r}")
-    witnesses = []
+    shots_a = []
     for sa in _performance_shots(corpus, scene, dancer_a):
         if sa.life_span.start >= sa.life_span.end:
             continue
         step_a = _step_of(sa, dancer_a)
         if allowed_steps is not None and step_a not in allowed_steps:
             continue
-        for sb in _performance_shots(corpus, scene, dancer_b):
-            if sb.life_span.start >= sb.life_span.end:
-                continue
+        shots_a.append((sa, step_a))
+    if not shots_a:
+        return []
+    # most scenes fail the checks above, so dancer_b's shots are gathered
+    # only after one of dancer_a's passes, and then only once
+    shots_b = [
+        sb for sb in _performance_shots(corpus, scene, dancer_b)
+        if sb.life_span.start < sb.life_span.end
+    ]
+    witnesses = []
+    for sa, step_a in shots_a:
+        for sb in shots_b:
             # same shot is allowed: both dancers perform, the intervals
             # coincide and the pair lands in "equals"
             if allen_relation(sa.life_span, sb.life_span) == relation:

@@ -7,6 +7,7 @@ import pytest
 
 from corpus_kit import small_doc
 from dvcm.bench import BenchmarkMismatchError
+import dvcm.model
 from dvcm.cli import main
 from dvcm.model import save_corpus
 
@@ -174,6 +175,42 @@ def test_query_with_stale_index(capsys, tmp_path):
     )
     assert code == 2
     assert "rebuild the index" in err
+
+
+def test_index_without_format_exits_2(capsys, tmp_path, f1_path):
+    index_path = tmp_path / "f1.index.json"
+    assert main(["index", f1_path, "-o", str(index_path)]) == 0
+    doc = json.loads(index_path.read_text(encoding="utf-8"))
+    del doc["format"]
+    index_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "query", f1_path, 'find shots where posture = "front"',
+        "--index", str(index_path),
+    )
+    assert code == 2
+    assert err == "error: index format is missing, expected 2; rebuild the index\n"
+
+
+def test_cold_index_and_query_serialize_the_corpus_once(capsys, monkeypatch, tmp_path, f1_path):
+    index_path = str(tmp_path / "f1.index.json")
+    calls = []
+    original = dvcm.model.corpus_document
+
+    def counting(corpus):
+        calls.append(corpus)
+        return original(corpus)
+
+    monkeypatch.setattr(dvcm.model, "corpus_document", counting)
+    code, _, _ = run_cli(capsys, "index", f1_path, "-o", index_path)
+    assert code == 0 and len(calls) == 1
+
+    calls.clear()
+    code, out, _ = run_cli(
+        capsys, "query", f1_path, 'find shots where posture = "front"',
+        "--index", index_path,
+    )
+    assert code == 0 and out
+    assert len(calls) == 1
 
 
 def test_gen_infeasible_parameters(capsys, tmp_path):

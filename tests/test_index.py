@@ -154,6 +154,28 @@ def test_format_error_on_bad_postings(f1_index):
         loads_index(json.dumps(doc))
 
 
+@pytest.mark.parametrize("fmt", [None, 1, 3, "2"])
+def test_other_or_missing_format_is_refused(f1_index, fmt):
+    doc = structured_index_doc(f1_index)
+    assert doc["format"] == 2
+    if fmt is None:
+        del doc["format"]
+    else:
+        doc["format"] = fmt
+    with pytest.raises(IndexFormatError, match="rebuild the index$"):
+        loads_index(json.dumps(doc))
+
+
+def test_failed_save_keeps_the_previous_index_file(tmp_path, f1_index, disk_full):
+    path = tmp_path / "f1.index.json"
+    path.write_text(dumps_index(f1_index), encoding="utf-8")
+    before = path.read_bytes()
+    with pytest.raises(OSError):
+        save_index(build_index(doc_to_corpus(small_doc())), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f1.index.json"]
+
+
 def test_shots_of_occurrences(f1, f1_index):
     assert f1_index.shots_of_occurrences(["sh2-da1", "sh5-da1"]) == {"sh2", "sh5"}
     assert f1_index.shots_of_occurrences([]) == set()

@@ -1,5 +1,6 @@
 """Corpus model: parsing, integrity validation, serialization, lookups."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from dvcm.model import (
     StepDefinition,
     TimeInterval,
     UnknownIdError,
+    corpus_document,
     corpus_fingerprint,
     dumps_corpus,
     expand_scenes_to_shots,
@@ -72,6 +74,24 @@ def test_fingerprint_is_hex_and_tracks_content():
     doc = small_doc()
     doc["shots"][0]["description"] = "renamed"
     assert corpus_fingerprint(doc_to_corpus(doc)) != fp
+
+
+def test_fingerprint_hashes_compact_sorted_json_of_the_document():
+    corpus = doc_to_corpus(small_doc())
+    compact = json.dumps(corpus_document(corpus), sort_keys=True, separators=(",", ":"))
+    assert corpus_fingerprint(corpus) == hashlib.sha256(compact.encode("utf-8")).hexdigest()
+
+
+def test_failed_save_keeps_the_previous_corpus_file(tmp_path, disk_full):
+    path = tmp_path / "small.json"
+    path.write_text(dumps_corpus(doc_to_corpus(small_doc())), encoding="utf-8")
+    before = path.read_bytes()
+    doc = small_doc()
+    doc["shots"][0]["description"] = "renamed"
+    with pytest.raises(OSError):
+        save_corpus(doc_to_corpus(doc), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["small.json"]
 
 
 def test_corpus_equality_ignores_derived_tables():
