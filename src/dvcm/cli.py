@@ -214,10 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             print(str(violation), file=sys.stderr)
         print(f"{len(exc.violations)} integrity violation(s)", file=sys.stderr)
         return 2
-    except (CorpusFormatError, IndexFormatError, IndexMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (CorpusFormatError, IndexFormatError, IndexMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -174,7 +174,10 @@ def load_index(path, corpus: Corpus | None = None) -> IndexSet:
     corpus, which means the index was built from different data.
     """
     with open(path, encoding="utf-8") as fh:
-        index = loads_index(fh.read())
+        try:
+            index = loads_index(fh.read())
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"byte {exc.start}: not UTF-8: {exc.reason}") from None
     if corpus is not None and index.fingerprint != corpus_fingerprint(corpus):
         raise IndexMismatchError(
             "index fingerprint does not match the corpus; rebuild the index"

@@ -10,8 +10,11 @@ sequence to a song; videos own compound scenes.
 A corpus file is a single UTF-8 JSON document with top-level arrays
 "videos", "songs", "musicians", "dancers", "backgrounds", "costumes",
 "instruments", "step_defs", "compound_scenes", "scenes" and "shots".
-Intervals are serialized as {"start": int, "end": int}, maps as arrays of
-{"dancer_id": ..., "values": [...]} pairs. Unknown fields are rejected.
+Each entity is an object keyed by its dataclass field names. Intervals are
+serialized as {"start": int, "end": int}, maps as arrays of
+{"dancer_id": ..., "values": [...]} pairs. Unknown fields are rejected. A
+field whose annotation ends in "| None" is optional: it may be omitted or
+null on input, and is always written, as null when unset.
 
 Corpora are immutable after loading; every operation here is a pure read.
 """
@@ -24,7 +27,8 @@ import enum
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 
 STEP_CLASSES = ("PY", "AD", "ASHA", "SHA", "CS")
 
@@ -39,9 +43,8 @@ SPATIAL_RELATIONS = frozenset(
     {"left_of", "right_of", "in_front_of", "behind", "near", "meets"}
 )
 
-# Seed vocabularies; postures and reflexions are open term sets.
+# Seed posture vocabulary; postures and reflexions are open term sets.
 DEFAULT_POSTURES = ("front", "left", "right", "back")
-DEFAULT_REFLEXIONS = ("sad", "happy", "delighted", "excited")
 
 
 class Granularity(enum.Enum):
@@ -165,12 +168,6 @@ class Scene:
     costume_map: tuple[tuple[str, frozenset[str]], ...]
     shot_ids: tuple[str, ...]
 
-    def costumes_of(self, dancer_id: str) -> frozenset[str]:
-        for did, costumes in self.costume_map:
-            if did == dancer_id:
-                return costumes
-        return frozenset()
-
 
 @dataclass(frozen=True)
 class CompoundScene:
@@ -292,12 +289,6 @@ class Corpus:
         except KeyError:
             raise UnknownIdError(f"unknown scene ID: {scene_id!r}") from None
 
-    def dancer(self, dancer_id: str) -> Dancer:
-        try:
-            return self.dancers[dancer_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown dancer ID: {dancer_id!r}") from None
-
     def occurrence(self, occ_id: str) -> StepOccurrence:
         try:
             return self._occurrences[occ_id][0]
@@ -309,9 +300,6 @@ class Corpus:
             return self._occurrences[occ_id][1]
         except KeyError:
             raise UnknownIdError(f"unknown occurrence ID: {occ_id!r}") from None
-
-    def occurrence_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._occurrences))
 
     def occ_ids_for_step_def(self, step_def_id: str) -> tuple[str, ...]:
         """Occurrence IDs of a step definition, read off its usage record."""
@@ -590,118 +578,206 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
 
 # --------------------------------------------------------------------------
-# Parsing
+# Codec
+#
+# Both directions are derived from the dataclass fields. A field's
+# annotation (a string, under the __future__ import) picks its parse and
+# serialize functions from _CODECS; an annotation ending in "| None" marks
+# the field optional. Parse functions raise CorpusFormatError with a location
+# relative to the value they were given, and every enclosing level prefixes
+# its own part ("[3]", ".posture", "shots") as the error passes outward, so a
+# location string is only built when a check fails.
 
-_TOP_LEVEL_KEYS = (
-    "videos",
-    "songs",
-    "musicians",
-    "dancers",
-    "backgrounds",
-    "costumes",
-    "instruments",
-    "step_defs",
-    "compound_scenes",
-    "scenes",
-    "shots",
+# Top-level arrays of a corpus document and the entity each one holds.
+_CATALOGS = {
+    "videos": Video,
+    "songs": Song,
+    "musicians": Musician,
+    "dancers": Dancer,
+    "backgrounds": Background,
+    "costumes": Costume,
+    "instruments": Instrument,
+    "step_defs": StepDefinition,
+    "compound_scenes": CompoundScene,
+    "scenes": Scene,
+    "shots": Shot,
+}
+
+# String fields restricted to a fixed vocabulary, by field name.
+_ALLOWED_VALUES = {"step_class": STEP_CLASSES, "component": SONG_COMPONENTS}
+
+
+def _within(prefix: str, exc: CorpusFormatError) -> CorpusFormatError:
+    return CorpusFormatError(prefix + exc.location, exc.message)
+
+
+def _expected(what: str, value) -> CorpusFormatError:
+    return CorpusFormatError("", f"expected {what}, got {type(value).__name__}")
+
+
+def _str(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise _expected("string", value)
+
+
+def _int(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _expected("integer", value)
+
+
+def _date(value) -> datetime.date:
+    try:
+        return datetime.date.fromisoformat(_str(value))
+    except ValueError:
+        raise CorpusFormatError("", f"invalid date {value!r}") from None
+
+
+def _one_of(allowed: tuple[str, ...]):
+    def parse(value) -> str:
+        if _str(value) in allowed:
+            return value
+        raise CorpusFormatError("", f"expected one of {list(allowed)}, got {value!r}")
+
+    return parse
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _split_optional(annotation: str) -> tuple[str, bool]:
+    """A field is optional exactly when its annotation ends in "| None"."""
+    base = annotation.removesuffix(" | None")
+    return base, base != annotation
+
+
+def _record_parser(make, specs: tuple[tuple[str, str], ...]):
+    """Parse a JSON object whose fields are (name, annotation) pairs.
+
+    The values are passed to ``make`` positionally, in ``specs`` order.
+    Plain ``str`` fields are checked inline; the others go through _CODECS.
+    """
+    names = tuple(name for name, _ in specs)
+    allowed = frozenset(names)
+    required = set()
+    steps = []
+    for name, ann in specs:
+        base, optional = _split_optional(ann)
+        if not optional:
+            required.add(name)
+        if name in _ALLOWED_VALUES:
+            convert = _one_of(_ALLOWED_VALUES[name])
+        elif base == "str" and not optional:
+            convert = None
+        else:
+            convert = _CODECS[base][0]
+        steps.append((name, _optional(convert) if optional else convert))
+
+    def parse(obj):
+        if not isinstance(obj, dict):
+            raise _expected("object", obj)
+        keys = obj.keys()
+        if not (keys <= allowed and keys >= required):
+            unknown = keys - allowed
+            if unknown:
+                raise CorpusFormatError("", f"unknown field(s) {sorted(unknown)}")
+            missing = next(name for name in names if name in required and name not in obj)
+            raise CorpusFormatError("", f"missing field {missing!r}")
+        args = []
+        for name, convert in steps:
+            value = obj.get(name)
+            if convert is None:
+                if not isinstance(value, str):
+                    raise _within(f".{name}", _expected("string", value))
+            else:
+                try:
+                    value = convert(value)
+                except CorpusFormatError as exc:
+                    raise _within(f".{name}", exc) from None
+            args.append(value)
+        return make(*args)
+
+    return parse
+
+
+def _array_parser(parse_item, order=None):
+    """Parse a JSON array item by item into a tuple, sorted by ``order`` if given."""
+
+    def parse(value) -> tuple:
+        if not isinstance(value, list):
+            raise _expected("array", value)
+        out: list = []
+        append = out.append
+        try:
+            for item in value:
+                append(parse_item(item))
+        except CorpusFormatError as exc:
+            raise _within(f"[{len(out)}]", exc) from None
+        if order is not None:
+            out.sort(key=order)
+        return tuple(out)
+
+    return parse
+
+
+def _record_codec(cls):
+    """Parse and serialize functions for a dataclass, derived from its fields.
+
+    The serializer is generated as one dict display, as dataclasses generate
+    their own methods: a display runs about three times faster than
+    ``dict(zip(names, values))``, and corpus_document calls it for every
+    entity, occurrence and interval.
+    """
+    parse = _record_parser(cls, tuple((f.name, f.type) for f in fields(cls)))
+    namespace = {}
+    items = []
+    for f in fields(cls):
+        base, optional = _split_optional(f.type)
+        value = f"record.{f.name}"
+        dump = _CODECS[base][1]
+        if dump is not None:
+            namespace[f"dump_{f.name}"] = _optional(dump) if optional else dump
+            value = f"dump_{f.name}({value})"
+        items.append(f"{f.name!r}: {value}")
+    return parse, eval(f"lambda record: {{{', '.join(items)}}}", namespace)
+
+
+def _nested_records(cls, order):
+    """Codec for an array of records nested in an entity, kept sorted by ``order``."""
+    parse, dump = _record_codec(cls)
+    return _array_parser(parse, order), lambda records: [dump(r) for r in records]
+
+
+_strings = _array_parser(_str)
+
+# Field annotation -> (parse, serialize); a serialize of None is the identity.
+_CODECS = {
+    "str": (_str, None),
+    "int": (_int, None),
+    "datetime.date": (_date, datetime.date.isoformat),
+    "tuple[str, ...]": (_strings, list),
+    "frozenset[str]": (lambda value: frozenset(_strings(value)), sorted),
+}
+_CODECS["TimeInterval"] = _record_codec(TimeInterval)
+_CODECS["tuple[StepOccurrence, ...]"] = _nested_records(StepOccurrence, attrgetter("occ_id"))
+_CODECS["tuple[SpatialTriplet, ...]"] = _nested_records(
+    SpatialTriplet, attrgetter("dancer1", "relation", "dancer2")
+)
+# A scene's costume map: {"dancer_id", "values"} objects, kept sorted by dancer.
+_CODECS["tuple[tuple[str, frozenset[str]], ...]"] = (
+    _array_parser(
+        _record_parser(
+            lambda dancer_id, values: (dancer_id, values),
+            (("dancer_id", "str"), ("values", "frozenset[str]")),
+        ),
+        itemgetter(0),
+    ),
+    lambda entries: [{"dancer_id": did, "values": sorted(vals)} for did, vals in entries],
 )
 
-
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise CorpusFormatError(where, f"missing field {key!r}")
-    return obj[key]
-
-
-def _check_fields(obj, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(where, f"expected object, got {type(obj).__name__}")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise CorpusFormatError(where, f"unknown field(s) {sorted(unknown)}")
-    for key in required:
-        if key not in obj:
-            raise CorpusFormatError(where, f"missing field {key!r}")
-
-
-def _str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise CorpusFormatError(where, f"expected string, got {type(value).__name__}")
-    return value
-
-
-def _int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CorpusFormatError(where, f"expected integer, got {type(value).__name__}")
-    return value
-
-
-def _str_list(value, where: str) -> list[str]:
-    if not isinstance(value, list):
-        raise CorpusFormatError(where, f"expected array, got {type(value).__name__}")
-    return [_str(v, f"{where}[{i}]") for i, v in enumerate(value)]
-
-
-def _interval(value, where: str) -> TimeInterval:
-    _check_fields(value, where, ("start", "end"))
-    return TimeInterval(
-        _int(value["start"], f"{where}.start"), _int(value["end"], f"{where}.end")
-    )
-
-
-def _date(value, where: str) -> datetime.date:
-    text = _str(value, where)
-    try:
-        return datetime.date.fromisoformat(text)
-    except ValueError:
-        raise CorpusFormatError(where, f"invalid date {text!r}") from None
-
-
-def _occurrence(obj, where: str) -> StepOccurrence:
-    _check_fields(
-        obj,
-        where,
-        ("occ_id", "shot_id", "dancer_id", "step_def_id", "posture", "reflexion"),
-        optional=("instrument_id",),
-    )
-    instrument = obj.get("instrument_id")
-    if instrument is not None:
-        instrument = _str(instrument, f"{where}.instrument_id")
-    return StepOccurrence(
-        occ_id=_str(obj["occ_id"], f"{where}.occ_id"),
-        shot_id=_str(obj["shot_id"], f"{where}.shot_id"),
-        dancer_id=_str(obj["dancer_id"], f"{where}.dancer_id"),
-        step_def_id=_str(obj["step_def_id"], f"{where}.step_def_id"),
-        posture=_str(obj["posture"], f"{where}.posture"),
-        reflexion=_str(obj["reflexion"], f"{where}.reflexion"),
-        instrument_id=instrument,
-    )
-
-
-def _triplet(obj, where: str) -> SpatialTriplet:
-    _check_fields(obj, where, ("dancer1", "dancer2", "relation"))
-    return SpatialTriplet(
-        dancer1=_str(obj["dancer1"], f"{where}.dancer1"),
-        dancer2=_str(obj["dancer2"], f"{where}.dancer2"),
-        relation=_str(obj["relation"], f"{where}.relation"),
-    )
-
-
-def _costume_map(value, where: str) -> tuple[tuple[str, frozenset[str]], ...]:
-    if not isinstance(value, list):
-        raise CorpusFormatError(where, f"expected array, got {type(value).__name__}")
-    entries = []
-    for i, pair in enumerate(value):
-        pwhere = f"{where}[{i}]"
-        _check_fields(pair, pwhere, ("dancer_id", "values"))
-        entries.append(
-            (
-                _str(pair["dancer_id"], f"{pwhere}.dancer_id"),
-                frozenset(_str_list(pair["values"], f"{pwhere}.values")),
-            )
-        )
-    entries.sort(key=lambda e: e[0])
-    return tuple(entries)
+_CATALOG_CODECS = {key: _record_codec(cls) for key, cls in _CATALOGS.items()}
 
 
 def parse_corpus_document(doc) -> Corpus:
@@ -713,14 +789,12 @@ def parse_corpus_document(doc) -> Corpus:
     """
     if not isinstance(doc, dict):
         raise CorpusFormatError("$", "top level must be an object")
-    unknown = set(doc) - set(_TOP_LEVEL_KEYS)
+    unknown = set(doc) - set(_CATALOGS)
     if unknown:
         raise CorpusFormatError("$", f"unknown top-level key(s) {sorted(unknown)}")
-    for key in _TOP_LEVEL_KEYS:
+    for key in _CATALOGS:
         if key not in doc:
             raise CorpusFormatError("$", f"missing top-level array {key!r}")
-        if not isinstance(doc[key], list):
-            raise CorpusFormatError(key, "expected array")
 
     dup_violations: list[Violation] = []
 
@@ -735,243 +809,14 @@ def parse_corpus_document(doc) -> Corpus:
                 table[item.id] = item
         return table
 
-    videos = []
-    for i, obj in enumerate(doc["videos"]):
-        where = f"videos[{i}]"
-        _check_fields(
-            obj,
-            where,
-            ("id", "life_span", "recording_date", "description", "compound_scene_ids"),
-        )
-        videos.append(
-            Video(
-                id=_str(obj["id"], f"{where}.id"),
-                life_span=_interval(obj["life_span"], f"{where}.life_span"),
-                recording_date=_date(obj["recording_date"], f"{where}.recording_date"),
-                description=_str(obj["description"], f"{where}.description"),
-                compound_scene_ids=tuple(
-                    _str_list(obj["compound_scene_ids"], f"{where}.compound_scene_ids")
-                ),
-            )
-        )
-
-    songs = []
-    for i, obj in enumerate(doc["songs"]):
-        where = f"songs[{i}]"
-        _check_fields(obj, where, ("id", "name", "lyrics", "musician_id"))
-        songs.append(
-            Song(
-                id=_str(obj["id"], f"{where}.id"),
-                name=_str(obj["name"], f"{where}.name"),
-                lyrics=_str(obj["lyrics"], f"{where}.lyrics"),
-                musician_id=_str(obj["musician_id"], f"{where}.musician_id"),
-            )
-        )
-
-    musicians = []
-    for i, obj in enumerate(doc["musicians"]):
-        where = f"musicians[{i}]"
-        _check_fields(obj, where, ("id", "name", "address", "sex", "phone"))
-        musicians.append(
-            Musician(
-                id=_str(obj["id"], f"{where}.id"),
-                name=_str(obj["name"], f"{where}.name"),
-                address=_str(obj["address"], f"{where}.address"),
-                sex=_str(obj["sex"], f"{where}.sex"),
-                phone=_str(obj["phone"], f"{where}.phone"),
-            )
-        )
-
-    dancers = []
-    for i, obj in enumerate(doc["dancers"]):
-        where = f"dancers[{i}]"
-        _check_fields(obj, where, ("id", "name", "age", "sex"))
-        dancers.append(
-            Dancer(
-                id=_str(obj["id"], f"{where}.id"),
-                name=_str(obj["name"], f"{where}.name"),
-                age=_int(obj["age"], f"{where}.age"),
-                sex=_str(obj["sex"], f"{where}.sex"),
-            )
-        )
-
-    backgrounds = []
-    for i, obj in enumerate(doc["backgrounds"]):
-        where = f"backgrounds[{i}]"
-        _check_fields(
-            obj,
-            where,
-            ("id", "name", "location", "description"),
-            optional=("location_existence",),
-        )
-        existence = obj.get("location_existence")
-        if existence is not None:
-            existence = _interval(existence, f"{where}.location_existence")
-        backgrounds.append(
-            Background(
-                id=_str(obj["id"], f"{where}.id"),
-                name=_str(obj["name"], f"{where}.name"),
-                location=_str(obj["location"], f"{where}.location"),
-                location_existence=existence,
-                description=_str(obj["description"], f"{where}.description"),
-            )
-        )
-
-    costumes = []
-    for i, obj in enumerate(doc["costumes"]):
-        where = f"costumes[{i}]"
-        _check_fields(obj, where, ("id", "name", "description"))
-        costumes.append(
-            Costume(
-                id=_str(obj["id"], f"{where}.id"),
-                name=_str(obj["name"], f"{where}.name"),
-                description=_str(obj["description"], f"{where}.description"),
-            )
-        )
-
-    instruments = []
-    for i, obj in enumerate(doc["instruments"]):
-        where = f"instruments[{i}]"
-        _check_fields(obj, where, ("id", "name", "description"))
-        instruments.append(
-            Instrument(
-                id=_str(obj["id"], f"{where}.id"),
-                name=_str(obj["name"], f"{where}.name"),
-                description=_str(obj["description"], f"{where}.description"),
-            )
-        )
-
-    step_defs = []
-    for i, obj in enumerate(doc["step_defs"]):
-        where = f"step_defs[{i}]"
-        _check_fields(obj, where, ("id", "step_class", "name", "movement", "body_parts"))
-        step_class = _str(obj["step_class"], f"{where}.step_class")
-        if step_class not in STEP_CLASSES:
-            raise CorpusFormatError(
-                f"{where}.step_class",
-                f"expected one of {list(STEP_CLASSES)}, got {step_class!r}",
-            )
-        step_defs.append(
-            StepDefinition(
-                id=_str(obj["id"], f"{where}.id"),
-                step_class=step_class,
-                name=_str(obj["name"], f"{where}.name"),
-                movement=_str(obj["movement"], f"{where}.movement"),
-                body_parts=frozenset(_str_list(obj["body_parts"], f"{where}.body_parts")),
-            )
-        )
-
-    compound_scenes = []
-    for i, obj in enumerate(doc["compound_scenes"]):
-        where = f"compound_scenes[{i}]"
-        _check_fields(obj, where, ("id", "video_id", "song_id", "scene_ids", "description"))
-        compound_scenes.append(
-            CompoundScene(
-                id=_str(obj["id"], f"{where}.id"),
-                video_id=_str(obj["video_id"], f"{where}.video_id"),
-                song_id=_str(obj["song_id"], f"{where}.song_id"),
-                scene_ids=tuple(_str_list(obj["scene_ids"], f"{where}.scene_ids")),
-                description=_str(obj["description"], f"{where}.description"),
-            )
-        )
-
-    scenes = []
-    for i, obj in enumerate(doc["scenes"]):
-        where = f"scenes[{i}]"
-        _check_fields(
-            obj,
-            where,
-            (
-                "id",
-                "compound_scene_id",
-                "life_span",
-                "component",
-                "background_id",
-                "costume_map",
-                "shot_ids",
-            ),
-        )
-        component = _str(obj["component"], f"{where}.component")
-        if component not in SONG_COMPONENTS:
-            raise CorpusFormatError(
-                f"{where}.component",
-                f"expected one of {list(SONG_COMPONENTS)}, got {component!r}",
-            )
-        scenes.append(
-            Scene(
-                id=_str(obj["id"], f"{where}.id"),
-                compound_scene_id=_str(obj["compound_scene_id"], f"{where}.compound_scene_id"),
-                life_span=_interval(obj["life_span"], f"{where}.life_span"),
-                component=component,
-                background_id=_str(obj["background_id"], f"{where}.background_id"),
-                costume_map=_costume_map(obj["costume_map"], f"{where}.costume_map"),
-                shot_ids=tuple(_str_list(obj["shot_ids"], f"{where}.shot_ids")),
-            )
-        )
-
-    shots = []
-    for i, obj in enumerate(doc["shots"]):
-        where = f"shots[{i}]"
-        _check_fields(
-            obj,
-            where,
-            (
-                "id",
-                "scene_id",
-                "life_span",
-                "dancer_ids",
-                "occurrences",
-                "spatial_triplets",
-                "description",
-            ),
-        )
-        if not isinstance(obj["occurrences"], list):
-            raise CorpusFormatError(f"{where}.occurrences", "expected array")
-        if not isinstance(obj["spatial_triplets"], list):
-            raise CorpusFormatError(f"{where}.spatial_triplets", "expected array")
-        occurrences = tuple(
-            sorted(
-                (
-                    _occurrence(o, f"{where}.occurrences[{j}]")
-                    for j, o in enumerate(obj["occurrences"])
-                ),
-                key=lambda occ: occ.occ_id,
-            )
-        )
-        triplets = tuple(
-            sorted(
-                (
-                    _triplet(t, f"{where}.spatial_triplets[{j}]")
-                    for j, t in enumerate(obj["spatial_triplets"])
-                ),
-                key=lambda t: (t.dancer1, t.relation, t.dancer2),
-            )
-        )
-        shots.append(
-            Shot(
-                id=_str(obj["id"], f"{where}.id"),
-                scene_id=_str(obj["scene_id"], f"{where}.scene_id"),
-                life_span=_interval(obj["life_span"], f"{where}.life_span"),
-                dancer_ids=frozenset(_str_list(obj["dancer_ids"], f"{where}.dancer_ids")),
-                occurrences=occurrences,
-                spatial_triplets=triplets,
-                description=_str(obj["description"], f"{where}.description"),
-            )
-        )
-
-    corpus = Corpus(
-        videos=catalog("video", videos),
-        songs=catalog("song", songs),
-        musicians=catalog("musician", musicians),
-        dancers=catalog("dancer", dancers),
-        backgrounds=catalog("background", backgrounds),
-        costumes=catalog("costume", costumes),
-        instruments=catalog("instrument", instruments),
-        step_defs=catalog("step def", step_defs),
-        compound_scenes=catalog("compound scene", compound_scenes),
-        scenes=catalog("scene", scenes),
-        shots=catalog("shot", shots),
-    )
+    tables = {}
+    for key, (parse, _) in _CATALOG_CODECS.items():
+        try:
+            items = _array_parser(parse)(doc[key])
+        except CorpusFormatError as exc:
+            raise _within(key, exc) from None
+        tables[key] = catalog(key[:-1].replace("_", " "), items)
+    corpus = Corpus(**tables)
 
     violations = dup_violations + validate_corpus(corpus)
     if violations:
@@ -990,128 +835,19 @@ def loads_corpus(text: str) -> Corpus:
 def load_corpus(path) -> Corpus:
     """Load, parse and fully validate a corpus file."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"byte {exc.start}", f"not UTF-8: {exc.reason}") from None
     return loads_corpus(text)
-
-
-# --------------------------------------------------------------------------
-# Serialization
-
-def _interval_doc(iv: TimeInterval) -> dict:
-    return {"start": iv.start, "end": iv.end}
 
 
 def corpus_document(corpus: Corpus) -> dict:
     """Canonical JSON document for a corpus: catalogs sorted by ID."""
-
-    def by_id(table: dict):
-        return [table[k] for k in sorted(table)]
-
-    doc: dict = {
-        "videos": [
-            {
-                "id": v.id,
-                "life_span": _interval_doc(v.life_span),
-                "recording_date": v.recording_date.isoformat(),
-                "description": v.description,
-                "compound_scene_ids": list(v.compound_scene_ids),
-            }
-            for v in by_id(corpus.videos)
-        ],
-        "songs": [
-            {"id": s.id, "name": s.name, "lyrics": s.lyrics, "musician_id": s.musician_id}
-            for s in by_id(corpus.songs)
-        ],
-        "musicians": [
-            {"id": m.id, "name": m.name, "address": m.address, "sex": m.sex, "phone": m.phone}
-            for m in by_id(corpus.musicians)
-        ],
-        "dancers": [
-            {"id": d.id, "name": d.name, "age": d.age, "sex": d.sex}
-            for d in by_id(corpus.dancers)
-        ],
-        "backgrounds": [
-            {
-                "id": b.id,
-                "name": b.name,
-                "location": b.location,
-                "location_existence": None
-                if b.location_existence is None
-                else _interval_doc(b.location_existence),
-                "description": b.description,
-            }
-            for b in by_id(corpus.backgrounds)
-        ],
-        "costumes": [
-            {"id": c.id, "name": c.name, "description": c.description}
-            for c in by_id(corpus.costumes)
-        ],
-        "instruments": [
-            {"id": i.id, "name": i.name, "description": i.description}
-            for i in by_id(corpus.instruments)
-        ],
-        "step_defs": [
-            {
-                "id": sd.id,
-                "step_class": sd.step_class,
-                "name": sd.name,
-                "movement": sd.movement,
-                "body_parts": sorted(sd.body_parts),
-            }
-            for sd in by_id(corpus.step_defs)
-        ],
-        "compound_scenes": [
-            {
-                "id": cs.id,
-                "video_id": cs.video_id,
-                "song_id": cs.song_id,
-                "scene_ids": list(cs.scene_ids),
-                "description": cs.description,
-            }
-            for cs in by_id(corpus.compound_scenes)
-        ],
-        "scenes": [
-            {
-                "id": sc.id,
-                "compound_scene_id": sc.compound_scene_id,
-                "life_span": _interval_doc(sc.life_span),
-                "component": sc.component,
-                "background_id": sc.background_id,
-                "costume_map": [
-                    {"dancer_id": did, "values": sorted(vals)}
-                    for did, vals in sc.costume_map
-                ],
-                "shot_ids": list(sc.shot_ids),
-            }
-            for sc in by_id(corpus.scenes)
-        ],
-        "shots": [
-            {
-                "id": sh.id,
-                "scene_id": sh.scene_id,
-                "life_span": _interval_doc(sh.life_span),
-                "dancer_ids": sorted(sh.dancer_ids),
-                "occurrences": [
-                    {
-                        "occ_id": o.occ_id,
-                        "shot_id": o.shot_id,
-                        "dancer_id": o.dancer_id,
-                        "step_def_id": o.step_def_id,
-                        "posture": o.posture,
-                        "reflexion": o.reflexion,
-                        "instrument_id": o.instrument_id,
-                    }
-                    for o in sh.occurrences
-                ],
-                "spatial_triplets": [
-                    {"dancer1": t.dancer1, "dancer2": t.dancer2, "relation": t.relation}
-                    for t in sh.spatial_triplets
-                ],
-                "description": sh.description,
-            }
-            for sh in by_id(corpus.shots)
-        ],
-    }
+    doc: dict = {}
+    for key, (_, dump) in _CATALOG_CODECS.items():
+        table = getattr(corpus, key)
+        doc[key] = [dump(table[k]) for k in sorted(table)]
     return doc
 
 

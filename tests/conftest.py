@@ -19,7 +19,7 @@ def medium_corpus():
 
 
 class _HalfWrittenFile:
-    """A file whose first write stores half its text, then fails."""
+    """A file whose first write stores half its text, then fails; reads pass."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -29,6 +29,9 @@ class _HalfWrittenFile:
 
     def __exit__(self, *exc_info):
         self._fh.close()
+
+    def read(self, *args):
+        return self._fh.read(*args)
 
     def write(self, text):
         self._fh.write(text[: len(text) // 2])

@@ -153,6 +153,13 @@ def doc_to_corpus(doc: dict) -> Corpus:
     return parse_corpus_document(doc)
 
 
+def occurrence_ids(corpus: Corpus) -> tuple[str, ...]:
+    """Every occurrence ID of the corpus, sorted."""
+    return tuple(
+        sorted(occ.occ_id for shot in corpus.shots.values() for occ in shot.occurrences)
+    )
+
+
 # --------------------------------------------------------------------------
 # Song grammar oracle: regular expressions over single-letter encodings.
 

@@ -1,5 +1,6 @@
 """The dvcm command: subcommands, output formats, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 
@@ -9,7 +10,7 @@ from corpus_kit import small_doc
 from dvcm.bench import BenchmarkMismatchError
 import dvcm.model
 from dvcm.cli import main
-from dvcm.model import save_corpus
+from dvcm.model import dumps_corpus, save_corpus
 
 
 @pytest.fixture
@@ -83,6 +84,14 @@ def test_validate_corrupt_json(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_validate_corpus_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"videos": "\xff"}')
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert err == "error: byte 12: not UTF-8: invalid start byte\n"
+
+
 def test_validate_lists_every_violation(capsys, tmp_path):
     doc = small_doc()
     doc["dancers"][0]["age"] = -1
@@ -130,6 +139,39 @@ def test_generate_validate_index_query(capsys, tmp_path):
     assert code == 0
     assert indexed_out == sequential_out
     assert sequential_out  # the workload term exists in every generated corpus
+
+
+def test_gen_and_index_bytes_are_pinned(tmp_path):
+    # Digests of the files these two commands wrote with the hand-written
+    # corpus codec that the table-driven one replaced. The index embeds the
+    # corpus fingerprint, so its digest pins the fingerprint too.
+    corpus_path = tmp_path / "g.json"
+    index_path = tmp_path / "g.index.json"
+    gen_args = ["gen", "--shots", "120", "--dancers", "5", "--seed", "42"]
+    assert main(gen_args + ["-o", str(corpus_path)]) == 0
+    assert main(["index", str(corpus_path), "-o", str(index_path)]) == 0
+    assert hashlib.sha256(corpus_path.read_bytes()).hexdigest() == (
+        "d187f5b2b92b5f454d4a4b7e032153ba464c2de7e57e85ee101ffd4a5038848e"
+    )
+    assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
+        "770115361c63d69237ab93d697786960877870ba4711c63fdfc22cb201c69221"
+    )
+
+
+@pytest.mark.parametrize("command", ["gen", "index"])
+def test_failed_write_exits_2_with_one_line(capsys, tmp_path, f1, disk_full, command):
+    corpus_path = tmp_path / "f1.json"
+    corpus_path.write_text(dumps_corpus(f1), encoding="utf-8")
+    output = str(tmp_path / "out.json")
+    argv = {
+        "gen": ["gen", "--shots", "10", "-o", output],
+        "index": ["index", str(corpus_path), "-o", output],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No space left on device" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f1.json"]
 
 
 def test_query_lines_and_json_formats(capsys, f1_path):
@@ -189,6 +231,17 @@ def test_index_without_format_exits_2(capsys, tmp_path, f1_path):
     )
     assert code == 2
     assert err == "error: index format is missing, expected 2; rebuild the index\n"
+
+
+def test_index_that_is_not_utf8_exits_2(capsys, tmp_path, f1_path):
+    index_path = tmp_path / "f1.index.json"
+    index_path.write_bytes(b"\xff")
+    code, out, err = run_cli(
+        capsys, "query", f1_path, 'find shots where posture = "front"',
+        "--index", str(index_path),
+    )
+    assert code == 2
+    assert err == "error: byte 0: not UTF-8: invalid start byte\n"
 
 
 def test_cold_index_and_query_serialize_the_corpus_once(capsys, monkeypatch, tmp_path, f1_path):

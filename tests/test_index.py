@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from corpus_kit import doc_to_corpus, small_doc
+from corpus_kit import doc_to_corpus, occurrence_ids, small_doc
 from dvcm.engine import IndexedEngine
 from dvcm.index import (
     IndexMismatchError,
@@ -49,7 +49,7 @@ def test_scene_level_postings(f1_index):
 
 def test_occurrence_shot_postings(f1, f1_index):
     assert f1_index.occurrence_shots["sh2-da1"] == ("sh2",)
-    assert set(f1_index.occurrence_shots) == set(f1.occurrence_ids())
+    assert set(f1_index.occurrence_shots) == set(occurrence_ids(f1))
 
 
 def test_reflexion_and_instrument_postings(f1_index):
@@ -184,4 +184,4 @@ def test_shots_of_occurrences(f1, f1_index):
 def test_medium_corpus_index_round_trips(medium_corpus):
     index = build_index(medium_corpus)
     assert loads_index(dumps_index(index)) == index
-    assert set(index.occurrence_shots) == set(medium_corpus.occurrence_ids())
+    assert set(index.occurrence_shots) == set(occurrence_ids(medium_corpus))

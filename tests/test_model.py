@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from corpus_kit import doc_to_corpus, small_doc
+from corpus_kit import doc_to_corpus, occurrence_ids, small_doc
 from dvcm.model import (
     Corpus,
     CorpusFormatError,
@@ -141,6 +141,35 @@ def test_top_level_must_be_object():
             lambda d: d["shots"][0]["occurrences"][0].update(mood="sad"),
             "unknown field",
         ),
+        (
+            lambda d: d["shots"][0]["occurrences"][0].update(posture=3),
+            "shots[0].occurrences[0].posture: expected string, got int",
+        ),
+        (
+            lambda d: d["shots"][1]["occurrences"][1].update(instrument_id=7),
+            "shots[1].occurrences[1].instrument_id: expected string, got int",
+        ),
+        (
+            lambda d: d["shots"][1]["spatial_triplets"][0].pop("relation"),
+            "shots[1].spatial_triplets[0]: missing field 'relation'",
+        ),
+        (
+            lambda d: d["scenes"][0]["costume_map"][0].update(values=[5]),
+            "scenes[0].costume_map[0].values[0]: expected string, got int",
+        ),
+        (
+            lambda d: d["backgrounds"][0].update(location_existence={"start": 0, "end": "9"}),
+            "backgrounds[0].location_existence.end: expected integer, got str",
+        ),
+        (
+            lambda d: d["videos"][0].update(compound_scene_ids="g1"),
+            "videos[0].compound_scene_ids: expected array, got str",
+        ),
+        (
+            lambda d: d["step_defs"][1].update(step_class="XX"),
+            "step_defs[1].step_class: expected one of ['PY', 'AD', 'ASHA', 'SHA', 'CS'], got 'XX'",
+        ),
+        (lambda d: d["shots"].append(7), "shots[2]: expected object, got int"),
     ],
 )
 def test_malformed_documents_are_rejected(mutate, fragment):
@@ -149,6 +178,22 @@ def test_malformed_documents_are_rejected(mutate, fragment):
     with pytest.raises(CorpusFormatError) as err:
         parse_corpus_document(doc)
     assert fragment in str(err.value)
+
+
+def test_optional_fields_may_be_omitted_or_null_and_are_written_as_null():
+    omitted = small_doc()
+    del omitted["shots"][0]["occurrences"][0]["instrument_id"]
+    del omitted["backgrounds"][0]["location_existence"]
+    nulled = small_doc()
+    nulled["shots"][0]["occurrences"][0]["instrument_id"] = None
+    nulled["backgrounds"][0]["location_existence"] = None
+    corpus = doc_to_corpus(omitted)
+    assert corpus == doc_to_corpus(nulled)
+    assert corpus.shots["h1"].occurrences[0].instrument_id is None
+    assert corpus.backgrounds["b1"].location_existence is None
+    doc = corpus_document(corpus)
+    assert doc["shots"][0]["occurrences"][0]["instrument_id"] is None
+    assert doc["backgrounds"][0]["location_existence"] is None
 
 
 def test_format_error_carries_location():
@@ -424,15 +469,14 @@ def test_expand_scenes_to_shots(f1):
 def test_lookup_accessors(f1):
     assert f1.shot("sh1").id == "sh1"
     assert f1.scene_of_shot("sh5").id == "sc2"
-    assert f1.dancer("da2").name == "Lisa"
-    occ_ids = f1.occurrence_ids()
+    occ_ids = occurrence_ids(f1)
     assert len(occ_ids) == len(set(occ_ids))
     some_occ = occ_ids[0]
     assert f1.occurrence(some_occ).occ_id == some_occ
     assert f1.shot_of_occurrence(some_occ) in f1.shots
     assert f1.occ_ids_for_step_def("st6") != ()
     assert f1.occ_ids_for_step_def("unused") == ()
-    for call in (f1.shot, f1.scene, f1.dancer, f1.occurrence, f1.shot_of_occurrence):
+    for call in (f1.shot, f1.scene, f1.occurrence, f1.shot_of_occurrence):
         with pytest.raises(UnknownIdError):
             call("missing")
 
@@ -441,9 +485,6 @@ def test_shot_and_scene_helpers(f1):
     sh2 = f1.shot("sh2")
     assert sh2.occurrence_of("da1").step_def_id == "st1"
     assert sh2.occurrence_of("da2") is None
-    sc1 = f1.scene("sc1")
-    assert sc1.costumes_of("da1") == frozenset({"co1"})
-    assert sc1.costumes_of("dX") == frozenset()
 
 
 def test_generated_corpus_is_json_document(tmp_path):
