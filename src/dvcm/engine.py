@@ -37,12 +37,7 @@ mentioned by a witness.
 from __future__ import annotations
 
 from .index import IndexSet, build_index
-from .model import (
-    Corpus,
-    corpus_fingerprint,
-    expand_scenes_to_shots,
-    lift_granularity,
-)
+from .model import Corpus, expand_scenes_to_shots, lift_granularity
 from .normalize import (
     expand_reflexion,
     load_synonym_table,
@@ -159,8 +154,7 @@ class _EngineBase:
             raise UnknownNameError(f"unknown dancer: {name!r}")
         return ids
 
-    def _temporal_scene_ids(self, rel: TemporalRel, ids_a: tuple[str, ...],
-                            ids_b: tuple[str, ...]):
+    def _temporal_scene_ids(self, rel: TemporalRel):
         """Scenes worth evaluating; the base engine tries all of them."""
         return self.corpus.scenes.keys()
 
@@ -169,7 +163,7 @@ class _EngineBase:
         ids_b = self._resolve_dancer_name(rel.dancer_b)
         allowed = self._resolve_step_constraint(rel)
         out: set[str] = set()
-        for scene_id in self._temporal_scene_ids(rel, ids_a, ids_b):
+        for scene_id in self._temporal_scene_ids(rel):
             scene = self.corpus.scenes[scene_id]
             for ida in ids_a:
                 for idb in ids_b:
@@ -302,12 +296,8 @@ class IndexedEngine(_EngineBase):
         super().__init__(corpus, synonyms)
         if index is None:
             index = build_index(corpus)
-        elif index.fingerprint != corpus_fingerprint(corpus):
-            from .index import IndexMismatchError
-
-            raise IndexMismatchError(
-                "index fingerprint does not match the corpus; rebuild the index"
-            )
+        else:
+            index.check_corpus(corpus)
         self.index = index
 
     def _occ_postings(self, facet: str, value: str) -> set[str]:
@@ -348,17 +338,12 @@ class IndexedEngine(_EngineBase):
         return self.index.shots_of_occurrences(self._occ_postings(facet, value))
 
     def _paired_shots(self, dancer_value: str, facet: str, value: str) -> set[str]:
+        # every occurrence left satisfies both halves, so each of its shots
+        # holds one occurrence pairing the dancer with the other term
         occs = self._occ_postings("dancer", dancer_value) & self._occ_postings(facet, value)
-        shots = self.index.shots_of_occurrences(occs)
-        # Each result shot must hold one occurrence satisfying both halves;
-        # the posting intersection guarantees it, this re-check is a guard.
-        assert all(
-            any(occ.occ_id in occs for occ in self.corpus.shots[sid].occurrences)
-            for sid in shots
-        )
-        return shots
+        return self.index.shots_of_occurrences(occs)
 
-    def _temporal_scene_ids(self, rel, ids_a, ids_b):
+    def _temporal_scene_ids(self, rel):
         """Skip scenes where the relation cannot hold.
 
         Every relation needs dancer_b performing in the scene; all but

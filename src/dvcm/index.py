@@ -1,18 +1,22 @@
 """Inverted files over a corpus.
 
-Eight files make up an index set. Five are keyed by normalized facet terms
-and post step-occurrence IDs: dancer name, body part (laterality stripped),
+Eight files make up an index set, one per ``IndexSet`` field after the
+fingerprint; the field list is the one definition of the files and of
+their order. Five are keyed by normalized facet terms and post
+step-occurrence IDs: dancer name, body part (laterality stripped),
 posture, reflexion and instrument name. Two post scene IDs: background name
-and costume name. The last maps each occurrence ID to the shot holding it,
-which is how occurrence-level intersections land back on shots.
+and costume name. The last, ``occurrence_shots``, maps each occurrence ID
+to the shot holding it; it is the one occurrence-to-shot map of the
+package, and it is how occurrence-level intersections land back on shots.
 
 An index set is valid for exactly one corpus state and records the corpus
-fingerprint at build time (see ``model.corpus_fingerprint``); loading an
-index against a corpus with a different fingerprint is refused. The file
-carries a ``"format"`` version beside ``"fingerprint"`` and ``"files"``;
-a file of any other format, or of none, is refused and must be rebuilt.
-Posting lists are sorted and duplicate free, and serialization is
-canonical, so building the same corpus twice yields byte-identical files.
+fingerprint at build time (see ``model.corpus_fingerprint``);
+``IndexSet.check_corpus`` refuses a corpus with a different fingerprint,
+and both ``load_index`` and ``IndexedEngine`` call it. The file carries a
+``"format"`` version beside ``"fingerprint"`` and ``"files"``; a file of
+any other format, or of none, is refused and must be rebuilt. Posting
+lists are sorted and duplicate free, and serialization is canonical, so
+building the same corpus twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,17 +38,6 @@ class IndexFormatError(Exception):
 
 # Version of the index file layout and of the fingerprint it stores.
 INDEX_FORMAT = 2
-
-_POSTING_FILES = (
-    "dancers",
-    "body_parts",
-    "postures",
-    "reflexions",
-    "instruments",
-    "backgrounds",
-    "costumes",
-    "occurrence_shots",
-)
 
 
 @dataclass(frozen=True)
@@ -68,55 +61,51 @@ class IndexSet:
             out.update(self.occurrence_shots.get(occ_id, ()))
         return out
 
+    def check_corpus(self, corpus: Corpus) -> None:
+        """Raise IndexMismatchError unless the index was built from this corpus."""
+        if self.fingerprint != corpus_fingerprint(corpus):
+            raise IndexMismatchError(
+                "index fingerprint does not match the corpus; rebuild the index"
+            )
+
+
+_POSTING_FILES = tuple(f.name for f in fields(IndexSet) if f.name != "fingerprint")
+
 
 def build_index(corpus: Corpus) -> IndexSet:
     """Scan the corpus once and build all eight files."""
-    dancers: dict[str, set[str]] = {}
-    body_parts: dict[str, set[str]] = {}
-    postures: dict[str, set[str]] = {}
-    reflexions: dict[str, set[str]] = {}
-    instruments: dict[str, set[str]] = {}
-    backgrounds: dict[str, set[str]] = {}
-    costumes: dict[str, set[str]] = {}
-    occurrence_shots: dict[str, set[str]] = {}
+    tables: dict[str, dict[str, set[str]]] = {name: {} for name in _POSTING_FILES}
 
-    def post(table: dict[str, set[str]], key: str, value: str) -> None:
-        table.setdefault(key, set()).add(value)
+    def post(name: str, key: str, value: str) -> None:
+        tables[name].setdefault(key, set()).add(value)
 
     for shot in corpus.shots.values():
         for occ in shot.occurrences:
-            post(dancers, normalize_key(corpus.dancers[occ.dancer_id].name), occ.occ_id)
-            post(postures, normalize_key(occ.posture), occ.occ_id)
-            post(reflexions, normalize_key(occ.reflexion), occ.occ_id)
+            post("dancers", normalize_key(corpus.dancers[occ.dancer_id].name), occ.occ_id)
+            post("postures", normalize_key(occ.posture), occ.occ_id)
+            post("reflexions", normalize_key(occ.reflexion), occ.occ_id)
             if occ.instrument_id is not None:
                 post(
-                    instruments,
+                    "instruments",
                     normalize_key(corpus.instruments[occ.instrument_id].name),
                     occ.occ_id,
                 )
             for part in corpus.step_defs[occ.step_def_id].body_parts:
-                post(body_parts, normalize_body_part(part), occ.occ_id)
-            post(occurrence_shots, occ.occ_id, shot.id)
+                post("body_parts", normalize_body_part(part), occ.occ_id)
+            post("occurrence_shots", occ.occ_id, shot.id)
 
     for scene in corpus.scenes.values():
-        post(backgrounds, normalize_key(corpus.backgrounds[scene.background_id].name), scene.id)
+        post("backgrounds", normalize_key(corpus.backgrounds[scene.background_id].name), scene.id)
         for _dancer_id, costume_ids in scene.costume_map:
             for cid in costume_ids:
-                post(costumes, normalize_key(corpus.costumes[cid].name), scene.id)
-
-    def freeze(table: dict[str, set[str]]) -> dict[str, tuple[str, ...]]:
-        return {key: tuple(sorted(values)) for key, values in table.items()}
+                post("costumes", normalize_key(corpus.costumes[cid].name), scene.id)
 
     return IndexSet(
         fingerprint=corpus_fingerprint(corpus),
-        dancers=freeze(dancers),
-        body_parts=freeze(body_parts),
-        postures=freeze(postures),
-        reflexions=freeze(reflexions),
-        instruments=freeze(instruments),
-        backgrounds=freeze(backgrounds),
-        costumes=freeze(costumes),
-        occurrence_shots=freeze(occurrence_shots),
+        **{
+            name: {key: tuple(sorted(values)) for key, values in table.items()}
+            for name, table in tables.items()
+        },
     )
 
 
@@ -178,12 +167,6 @@ def load_index(path, corpus: Corpus | None = None) -> IndexSet:
             index = loads_index(fh.read())
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"byte {exc.start}: not UTF-8: {exc.reason}") from None
-    if corpus is not None and index.fingerprint != corpus_fingerprint(corpus):
-        raise IndexMismatchError(
-            "index fingerprint does not match the corpus; rebuild the index"
-        )
+    if corpus is not None:
+        index.check_corpus(corpus)
     return index
-
-
-if set(_POSTING_FILES) != {f.name for f in fields(IndexSet) if f.name != "fingerprint"}:
-    raise RuntimeError("_POSTING_FILES does not match the IndexSet fields")

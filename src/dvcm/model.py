@@ -231,10 +231,11 @@ class Instrument:
 class Corpus:
     """The immutable annotation store: entity catalogs keyed by ID.
 
-    Derived lookup tables (occurrence registry, step-definition usage) are
-    built once at construction and never mutated afterwards; the fingerprint
-    is cached on first use. They are excluded from equality so that
-    structural equality is defined purely by the annotated data.
+    One derived lookup table, the occurrence IDs of each step definition,
+    is built once at construction and never mutated afterwards; the
+    fingerprint is cached on first use. Both are excluded from equality so
+    that structural equality is defined purely by the annotated data. The
+    occurrence-to-shot map lives in the index (``IndexSet.occurrence_shots``).
     """
 
     videos: dict[str, Video] = field(default_factory=dict)
@@ -249,10 +250,7 @@ class Corpus:
     scenes: dict[str, Scene] = field(default_factory=dict)
     shots: dict[str, Shot] = field(default_factory=dict)
 
-    # occ_id -> (occurrence, owning shot id); step_def_id -> sorted occ ids
-    _occurrences: dict[str, tuple[StepOccurrence, str]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    # step_def_id -> sorted occ ids
     _occs_by_step_def: dict[str, tuple[str, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -265,13 +263,10 @@ class Corpus:
         self.rebuild_lookup_tables()
 
     def rebuild_lookup_tables(self) -> None:
-        occurrences: dict[str, tuple[StepOccurrence, str]] = {}
         by_step: dict[str, list[str]] = {}
         for shot in self.shots.values():
             for occ in shot.occurrences:
-                occurrences[occ.occ_id] = (occ, shot.id)
                 by_step.setdefault(occ.step_def_id, []).append(occ.occ_id)
-        self._occurrences = occurrences
         self._occs_by_step_def = {
             sid: tuple(sorted(ids)) for sid, ids in by_step.items()
         }
@@ -288,18 +283,6 @@ class Corpus:
             return self.scenes[scene_id]
         except KeyError:
             raise UnknownIdError(f"unknown scene ID: {scene_id!r}") from None
-
-    def occurrence(self, occ_id: str) -> StepOccurrence:
-        try:
-            return self._occurrences[occ_id][0]
-        except KeyError:
-            raise UnknownIdError(f"unknown occurrence ID: {occ_id!r}") from None
-
-    def shot_of_occurrence(self, occ_id: str) -> str:
-        try:
-            return self._occurrences[occ_id][1]
-        except KeyError:
-            raise UnknownIdError(f"unknown occurrence ID: {occ_id!r}") from None
 
     def occ_ids_for_step_def(self, step_def_id: str) -> tuple[str, ...]:
         """Occurrence IDs of a step definition, read off its usage record."""
@@ -628,10 +611,15 @@ def _int(value) -> int:
 
 
 def _date(value) -> datetime.date:
+    # YYYY-MM-DD only; from Python 3.11 on, fromisoformat also takes the
+    # basic (20100305) and week-date (2010-W09-5) forms
     try:
-        return datetime.date.fromisoformat(_str(value))
+        parsed = datetime.date.fromisoformat(_str(value))
+        if parsed.isoformat() == value:
+            return parsed
     except ValueError:
-        raise CorpusFormatError("", f"invalid date {value!r}") from None
+        pass
+    raise CorpusFormatError("", f"invalid date {value!r}")
 
 
 def _one_of(allowed: tuple[str, ...]):

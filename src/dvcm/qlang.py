@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Granularity, SPATIAL_RELATIONS
+from .model import SPATIAL_RELATIONS, STEP_CLASSES, Granularity
 from .normalize import normalize_key
 from .temporal import ALLEN_RELATIONS, DANCER_RELATIONS
 
@@ -43,7 +43,7 @@ FACETS = (
     "step_class",
 )
 
-STEP_CLASS_TERMS = ("py", "ad", "asha", "sha", "cs")
+STEP_CLASS_TERMS = tuple(c.casefold() for c in STEP_CLASSES)
 
 _GRAN_WORDS = {
     "shots": Granularity.SHOT,

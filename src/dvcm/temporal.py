@@ -130,20 +130,17 @@ class Witness:
         return set(self.shots_a) | set(self.shots_b)
 
 
-def _performance_shots(corpus: Corpus, scene: Scene, dancer_id: str) -> list[Shot]:
-    """Shots of the scene where the dancer has an occurrence, in scene order."""
+def _performance_shots(
+    corpus: Corpus, scene: Scene, dancer_id: str
+) -> list[tuple[Shot, str]]:
+    """(shot, step_def_id) of each of the dancer's occurrences, in scene order."""
     out = []
     for shot_id in scene.shot_ids:
         shot = corpus.shots[shot_id]
-        if shot.occurrence_of(dancer_id) is not None:
-            out.append(shot)
+        occ = shot.occurrence_of(dancer_id)
+        if occ is not None:
+            out.append((shot, occ.step_def_id))
     return out
-
-
-def _step_of(shot: Shot, dancer_id: str) -> str:
-    occ = shot.occurrence_of(dancer_id)
-    assert occ is not None
-    return occ.step_def_id
 
 
 def evaluate_dancer_relation(
@@ -176,12 +173,9 @@ def evaluate_dancer_relation(
         )
 
     if relation in ("follows", "repeats"):
-        for sa in shots_a:
-            for sb in shots_b:
-                if sa.id == sb.id:
-                    continue
-                step_a = _step_of(sa, dancer_a)
-                if step_a != _step_of(sb, dancer_b):
+        for sa, step_a in shots_a:
+            for sb, step_b in shots_b:
+                if sa.id == sb.id or step_a != step_b:
                     continue
                 if relation == "follows" and sa.life_span.end == sb.life_span.start:
                     emit((sa.id,), (sb.id,), (step_a,))
@@ -191,11 +185,8 @@ def evaluate_dancer_relation(
     elif relation in ("follows_sequence", "repeats_sequence"):
         if shots_a and len(shots_a) == len(shots_b):
             steps: list[str] = []
-            for sa, sb in zip(shots_a, shots_b):
-                if sa.id == sb.id:
-                    break
-                step_a = _step_of(sa, dancer_a)
-                if step_a != _step_of(sb, dancer_b):
+            for (sa, step_a), (sb, step_b) in zip(shots_a, shots_b):
+                if sa.id == sb.id or step_a != step_b:
                     break
                 if relation == "follows_sequence":
                     if sa.life_span.end != sb.life_span.start:
@@ -205,29 +196,31 @@ def evaluate_dancer_relation(
                 steps.append(step_a)
             else:
                 emit(
-                    tuple(s.id for s in shots_a),
-                    tuple(s.id for s in shots_b),
+                    tuple(s.id for s, _ in shots_a),
+                    tuple(s.id for s, _ in shots_b),
                     tuple(steps),
                 )
 
     elif relation in ("performs_same", "performs_different"):
-        for sa in shots_a:
-            if sa.occurrence_of(dancer_b) is None:
+        for sa, step_a in shots_a:
+            occ_b = sa.occurrence_of(dancer_b)
+            if occ_b is None:
                 continue
-            step_a = _step_of(sa, dancer_a)
-            step_b = _step_of(sa, dancer_b)
+            step_b = occ_b.step_def_id
             if relation == "performs_same" and step_a == step_b:
                 emit((sa.id,), (sa.id,), (step_a,))
             elif relation == "performs_different" and step_a != step_b:
                 emit((sa.id,), (sa.id,), (step_a,))
 
     elif relation in ("performs_same_sequence", "performs_different_sequence"):
-        shared = [sa for sa in shots_a if sa.occurrence_of(dancer_b) is not None]
+        shared = [
+            (sa, step_a, occ_b.step_def_id)
+            for sa, step_a in shots_a
+            if (occ_b := sa.occurrence_of(dancer_b)) is not None
+        ]
         if shared:
             steps = []
-            for shot in shared:
-                step_a = _step_of(shot, dancer_a)
-                step_b = _step_of(shot, dancer_b)
+            for _shot, step_a, step_b in shared:
                 if relation == "performs_same_sequence":
                     if step_a != step_b:
                         break
@@ -235,7 +228,7 @@ def evaluate_dancer_relation(
                     break
                 steps.append(step_a)
             else:
-                ids = tuple(s.id for s in shared)
+                ids = tuple(s.id for s, _, _ in shared)
                 emit(ids, ids, tuple(steps))
 
     elif relation == "observes":
@@ -273,10 +266,9 @@ def evaluate_allen_between_dancers(
     if relation not in ALLEN_RELATIONS:
         raise ValueError(f"unknown interval relation: {relation!r}")
     shots_a = []
-    for sa in _performance_shots(corpus, scene, dancer_a):
+    for sa, step_a in _performance_shots(corpus, scene, dancer_a):
         if sa.life_span.start >= sa.life_span.end:
             continue
-        step_a = _step_of(sa, dancer_a)
         if allowed_steps is not None and step_a not in allowed_steps:
             continue
         shots_a.append((sa, step_a))
@@ -285,7 +277,7 @@ def evaluate_allen_between_dancers(
     # most scenes fail the checks above, so dancer_b's shots are gathered
     # only after one of dancer_a's passes, and then only once
     shots_b = [
-        sb for sb in _performance_shots(corpus, scene, dancer_b)
+        sb for sb, _ in _performance_shots(corpus, scene, dancer_b)
         if sb.life_span.start < sb.life_span.end
     ]
     witnesses = []

@@ -29,9 +29,7 @@ def test_fingerprint_binds_index_to_corpus(f1, f1_index):
 
 def test_dancer_postings(f1, f1_index):
     assert set(f1_index.dancers) == {"anitha", "lisa"}
-    anitha_shots = {
-        f1.shot_of_occurrence(occ_id) for occ_id in f1_index.dancers["anitha"]
-    }
+    anitha_shots = f1_index.shots_of_occurrences(f1_index.dancers["anitha"])
     assert anitha_shots == {"sh1", "sh2", "sh5", "sh6", "sh7", "sh9"}
 
 
@@ -185,3 +183,6 @@ def test_medium_corpus_index_round_trips(medium_corpus):
     index = build_index(medium_corpus)
     assert loads_index(dumps_index(index)) == index
     assert set(index.occurrence_shots) == set(occurrence_ids(medium_corpus))
+    for shot in medium_corpus.shots.values():
+        for occ in shot.occurrences:
+            assert index.occurrence_shots[occ.occ_id] == (shot.id,)

@@ -128,6 +128,8 @@ def test_top_level_must_be_object():
         (lambda d: d["dancers"][0].update(age=True), "expected integer"),
         (lambda d: d["dancers"][0].update(name=7), "expected string"),
         (lambda d: d["videos"][0].update(recording_date="March 5"), "invalid date"),
+        (lambda d: d["videos"][0].update(recording_date="20100305"), "invalid date"),
+        (lambda d: d["videos"][0].update(recording_date="2010-W09-5"), "invalid date"),
         (lambda d: d["step_defs"][0].update(step_class="XX"), "step_class"),
         (lambda d: d["scenes"][0].update(component="ZZ"), "component"),
         (lambda d: d["shots"][0].update(life_span={"start": 0}), "missing field 'end'"),
@@ -471,12 +473,9 @@ def test_lookup_accessors(f1):
     assert f1.scene_of_shot("sh5").id == "sc2"
     occ_ids = occurrence_ids(f1)
     assert len(occ_ids) == len(set(occ_ids))
-    some_occ = occ_ids[0]
-    assert f1.occurrence(some_occ).occ_id == some_occ
-    assert f1.shot_of_occurrence(some_occ) in f1.shots
     assert f1.occ_ids_for_step_def("st6") != ()
     assert f1.occ_ids_for_step_def("unused") == ()
-    for call in (f1.shot, f1.scene, f1.occurrence, f1.shot_of_occurrence):
+    for call in (f1.shot, f1.scene):
         with pytest.raises(UnknownIdError):
             call("missing")
 
