@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or query error, 2 data or integrity error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -198,6 +199,11 @@ def _cmd_eval(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds one large acyclic object graph, which reference
+    # counting frees; the cyclic collector would only re-walk it. Callers
+    # in the same process get their collector state back.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except QueryParseError as exc:
@@ -220,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,14 +9,19 @@ and costume name. The last, ``occurrence_shots``, maps each occurrence ID
 to the shot holding it; it is the one occurrence-to-shot map of the
 package, and it is how occurrence-level intersections land back on shots.
 
-An index set is valid for exactly one corpus state and records the corpus
-fingerprint at build time (see ``model.corpus_fingerprint``);
-``IndexSet.check_corpus`` refuses a corpus with a different fingerprint,
-and both ``load_index`` and ``IndexedEngine`` call it. The file carries a
-``"format"`` version beside ``"fingerprint"`` and ``"files"``; a file of
-any other format, or of none, is refused and must be rebuilt. Posting
-lists are sorted and duplicate free, and serialization is canonical, so
-building the same corpus twice yields byte-identical files.
+An index set is valid for exactly one corpus file and records its
+fingerprint, the SHA-256 of the file's bytes, at build time (see
+``model.corpus_fingerprint``): reformatting the corpus file, even with
+the same content, means rebuilding the index. ``IndexSet.check_corpus``
+refuses a corpus with a different fingerprint, and both ``load_index``
+and ``IndexedEngine`` call it. It also checks cheap counts: every
+occurrence posts exactly once in each of ``dancers``, ``postures``,
+``reflexions`` and ``occurrence_shots``, so a truncated posting file is
+refused; an edit that keeps those counts is not detected. The file
+carries a ``"format"`` version beside ``"fingerprint"`` and ``"files"``;
+a file of any other format, or of none, is refused and must be rebuilt.
+Posting lists are sorted and duplicate free, and serialization is
+canonical, so building the same corpus twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,8 +41,12 @@ class IndexFormatError(Exception):
     """The index file is not a valid serialized index set."""
 
 
-# Version of the index file layout and of the fingerprint it stores.
-INDEX_FORMAT = 2
+# Version of the index file layout and of the fingerprint it stores;
+# format 3 stores the hash of the corpus file's bytes.
+INDEX_FORMAT = 3
+
+# Files in which each occurrence posts exactly once.
+_ONCE_PER_OCCURRENCE = ("dancers", "postures", "reflexions", "occurrence_shots")
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,24 @@ class IndexSet:
         return out
 
     def check_corpus(self, corpus: Corpus) -> None:
-        """Raise IndexMismatchError unless the index was built from this corpus."""
+        """Raise IndexMismatchError unless the index was built from this corpus.
+
+        Besides the fingerprint, the occurrence count of each file in
+        ``_ONCE_PER_OCCURRENCE`` must be the corpus's, which catches a
+        truncated posting file at the cost of one pass over the postings.
+        """
         if self.fingerprint != corpus_fingerprint(corpus):
             raise IndexMismatchError(
                 "index fingerprint does not match the corpus; rebuild the index"
             )
+        occurrences = sum(len(shot.occurrences) for shot in corpus.shots.values())
+        for name in _ONCE_PER_OCCURRENCE:
+            posted = sum(map(len, getattr(self, name).values()))
+            if posted != occurrences:
+                raise IndexMismatchError(
+                    f"index files.{name} posts {posted} occurrence(s), the corpus "
+                    f"has {occurrences}; rebuild the index"
+                )
 
 
 _POSTING_FILES = tuple(f.name for f in fields(IndexSet) if f.name != "fingerprint")
@@ -153,6 +175,11 @@ def loads_index(text: str) -> IndexSet:
                 raise IndexFormatError(f"files.{name}[{key!r}] must be a string array")
             frozen[key] = tuple(values)
         tables[name] = frozen
+    for occ_id, shots in tables["occurrence_shots"].items():
+        if len(shots) != 1:
+            raise IndexFormatError(
+                f"files.occurrence_shots[{occ_id!r}] must hold exactly one shot ID"
+            )
     return IndexSet(fingerprint=doc["fingerprint"], **tables)
 
 

@@ -233,9 +233,10 @@ class Corpus:
 
     One derived lookup table, the occurrence IDs of each step definition,
     is built once at construction and never mutated afterwards; the
-    fingerprint is cached on first use. Both are excluded from equality so
-    that structural equality is defined purely by the annotated data. The
-    occurrence-to-shot map lives in the index (``IndexSet.occurrence_shots``).
+    fingerprint is set by ``load_corpus`` from the file's bytes, or cached
+    on first use. Both are excluded from equality so that structural
+    equality is defined purely by the annotated data. The occurrence-to-shot
+    map lives in the index (``IndexSet.occurrence_shots``).
     """
 
     videos: dict[str, Video] = field(default_factory=dict)
@@ -254,7 +255,7 @@ class Corpus:
     _occs_by_step_def: dict[str, tuple[str, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
-    # corpus_fingerprint's cached value
+    # corpus_fingerprint's value: the file's hash, or cached on first use
     _fingerprint: str | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -821,13 +822,22 @@ def loads_corpus(text: str) -> Corpus:
 
 
 def load_corpus(path) -> Corpus:
-    """Load, parse and fully validate a corpus file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"byte {exc.start}", f"not UTF-8: {exc.reason}") from None
-    return loads_corpus(text)
+    """Load, parse and fully validate a corpus file.
+
+    The fingerprint of the returned corpus is the SHA-256 of the file's
+    bytes, taken here while they are at hand (see ``corpus_fingerprint``).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fingerprint = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"byte {exc.start}", f"not UTF-8: {exc.reason}") from None
+    del data
+    corpus = loads_corpus(text)
+    corpus._fingerprint = fingerprint
+    return corpus
 
 
 def corpus_document(corpus: Corpus) -> dict:
@@ -865,14 +875,17 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
-    """SHA-256 of the compact canonical JSON of the corpus document.
+    """SHA-256 of the corpus file's bytes.
 
-    The hashed text is ``corpus_document`` dumped with sorted keys and no
-    whitespace, which the C JSON encoder produces; it is not the indented
-    file layout. Indexes pin this value. It is computed once per corpus
-    object and cached, since corpora are immutable after construction.
+    A corpus read by ``load_corpus`` carries the hash of the file it was
+    read from. A corpus built in memory is hashed as ``dumps_corpus``
+    text, which is the file ``save_corpus`` writes, so a file dvcm wrote
+    and the corpus it was written from agree. Indexes pin this value, so
+    an index belongs to the exact bytes of one corpus file. It is computed
+    once per corpus object and cached, since corpora are immutable after
+    construction.
     """
     if corpus._fingerprint is None:
-        text = json.dumps(corpus_document(corpus), sort_keys=True, separators=(",", ":"))
+        text = dumps_corpus(corpus)
         corpus._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return corpus._fingerprint

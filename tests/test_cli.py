@@ -1,13 +1,16 @@
 """The dvcm command: subcommands, output formats, and exit codes."""
 
+import gc
 import hashlib
 import json
 import subprocess
+from pathlib import Path
 
 import pytest
 
 from corpus_kit import small_doc
 from dvcm.bench import BenchmarkMismatchError
+import dvcm.cli
 import dvcm.model
 from dvcm.cli import main
 from dvcm.model import dumps_corpus, save_corpus
@@ -142,9 +145,11 @@ def test_generate_validate_index_query(capsys, tmp_path):
 
 
 def test_gen_and_index_bytes_are_pinned(tmp_path):
-    # Digests of the files these two commands wrote with the hand-written
-    # corpus codec that the table-driven one replaced. The index embeds the
-    # corpus fingerprint, so its digest pins the fingerprint too.
+    # The corpus digest is that of the file the hand-written corpus codec,
+    # which the table-driven one replaced, wrote. The index embeds the
+    # corpus fingerprint, so its digest pins the fingerprint too; it is the
+    # format 3 file, which differs from format 2 only in the "format" and
+    # "fingerprint" values.
     corpus_path = tmp_path / "g.json"
     index_path = tmp_path / "g.index.json"
     gen_args = ["gen", "--shots", "120", "--dancers", "5", "--seed", "42"]
@@ -154,8 +159,10 @@ def test_gen_and_index_bytes_are_pinned(tmp_path):
         "d187f5b2b92b5f454d4a4b7e032153ba464c2de7e57e85ee101ffd4a5038848e"
     )
     assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-        "770115361c63d69237ab93d697786960877870ba4711c63fdfc22cb201c69221"
+        "abb45e41086cc8ba62ca600fc89b050dfd6ae56c2a858f5218b40994efb9a4b8"
     )
+    index_doc = json.loads(index_path.read_text(encoding="utf-8"))
+    assert index_doc["fingerprint"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["gen", "index"])
@@ -230,7 +237,7 @@ def test_index_without_format_exits_2(capsys, tmp_path, f1_path):
         "--index", str(index_path),
     )
     assert code == 2
-    assert err == "error: index format is missing, expected 2; rebuild the index\n"
+    assert err == "error: index format is missing, expected 3; rebuild the index\n"
 
 
 def test_index_that_is_not_utf8_exits_2(capsys, tmp_path, f1_path):
@@ -244,26 +251,128 @@ def test_index_that_is_not_utf8_exits_2(capsys, tmp_path, f1_path):
     assert err == "error: byte 0: not UTF-8: invalid start byte\n"
 
 
-def test_cold_index_and_query_serialize_the_corpus_once(capsys, monkeypatch, tmp_path, f1_path):
+def test_cold_index_and_query_never_serialize_the_corpus(
+    capsys, monkeypatch, tmp_path, f1_path
+):
+    # the fingerprint of a loaded corpus is the hash of the bytes read
     index_path = str(tmp_path / "f1.index.json")
     calls = []
-    original = dvcm.model.corpus_document
 
-    def counting(corpus):
-        calls.append(corpus)
-        return original(corpus)
+    def counting(name):
+        original = getattr(dvcm.model, name)
 
-    monkeypatch.setattr(dvcm.model, "corpus_document", counting)
+        def wrapper(corpus):
+            calls.append(name)
+            return original(corpus)
+
+        return wrapper
+
+    for name in ("corpus_document", "dumps_corpus"):
+        monkeypatch.setattr(dvcm.model, name, counting(name))
     code, _, _ = run_cli(capsys, "index", f1_path, "-o", index_path)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == []
 
-    calls.clear()
     code, out, _ = run_cli(
         capsys, "query", f1_path, 'find shots where posture = "front"',
         "--index", index_path,
     )
     assert code == 0 and out
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_reformatted_corpus_needs_a_new_index(capsys, tmp_path, f1_path):
+    # an index is pinned to the exact bytes of its corpus file
+    index_path = str(tmp_path / "f1.index.json")
+    compact_path = tmp_path / "compact.json"
+    assert main(["index", f1_path, "-o", index_path]) == 0
+    capsys.readouterr()
+    doc = json.loads(Path(f1_path).read_text(encoding="utf-8"))
+    compact_path.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+    text = 'find shots where dancer = "Anitha"'
+
+    code, out, err = run_cli(capsys, "query", str(compact_path), text, "--index", index_path)
+    assert code == 2 and out == ""
+    assert err == "error: index fingerprint does not match the corpus; rebuild the index\n"
+
+    _, expected, _ = run_cli(capsys, "query", f1_path, text)
+    assert main(["index", str(compact_path), "-o", index_path]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "query", str(compact_path), text, "--index", index_path)
+    assert code == 0 and out == expected and out
+
+
+def test_crlf_corpus_loads_and_its_index_answers_like_the_scan(capsys, tmp_path, f1_path):
+    crlf_path = tmp_path / "crlf.json"
+    index_path = str(tmp_path / "crlf.index.json")
+    crlf_path.write_bytes(Path(f1_path).read_bytes().replace(b"\n", b"\r\n"))
+    code, out, _ = run_cli(capsys, "validate", str(crlf_path))
+    assert code == 0 and out.startswith("corpus OK")
+    assert main(["index", str(crlf_path), "-o", index_path]) == 0
+    capsys.readouterr()
+    for text in (
+        'find shots where dancer = "Anitha"',
+        'find scenes where performs_same(dancer = "Anitha", dancer = "Lisa")',
+    ):
+        _, scanned, _ = run_cli(capsys, "query", str(crlf_path), text)
+        code, indexed, _ = run_cli(capsys, "query", str(crlf_path), text, "--index", index_path)
+        assert code == 0 and indexed == scanned and scanned
+
+
+@pytest.mark.parametrize("empty_shot_entry", [True, False])
+def test_truncated_posting_file_exits_2_with_one_line(
+    capsys, tmp_path, f1_path, empty_shot_entry
+):
+    # The dancer file cut to one occurrence, with or without that
+    # occurrence's shot entry emptied: the scan finds six shots for Anitha.
+    index_path = tmp_path / "f1.index.json"
+    assert main(["index", f1_path, "-o", str(index_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(index_path.read_text(encoding="utf-8"))
+    postings = doc["files"]["dancers"]["anitha"]
+    first = postings[0]
+    doc["files"]["dancers"]["anitha"] = [first]
+    if empty_shot_entry:
+        doc["files"]["occurrence_shots"][first] = []
+    index_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "query", f1_path, 'find shots where dancer = "Anitha"',
+        "--index", str(index_path),
+    )
+    assert code == 2 and out == ""
+    if empty_shot_entry:
+        assert err == (
+            f"error: files.occurrence_shots[{first!r}] must hold exactly one shot ID\n"
+        )
+    else:
+        occurrences = len(doc["files"]["occurrence_shots"])
+        assert err == (
+            f"error: index files.dancers posts {occurrences - len(postings) + 1} "
+            f"occurrence(s), the corpus has {occurrences}; rebuild the index\n"
+        )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("corpus, expected_code", [("f1", 0), ("missing", 2)])
+def test_command_runs_with_the_gc_off_and_main_restores_it(
+    capsys, monkeypatch, tmp_path, f1_path, enabled, corpus, expected_code
+):
+    path = {"f1": f1_path, "missing": str(tmp_path / "missing.json")}[corpus]
+    seen = []
+    original = dvcm.cli.load_corpus
+
+    def recording(path):
+        seen.append(gc.isenabled())
+        return original(path)
+
+    monkeypatch.setattr(dvcm.cli, "load_corpus", recording)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        code, _, _ = run_cli(capsys, "validate", path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert code == expected_code and seen == [False]
 
 
 def test_gen_infeasible_parameters(capsys, tmp_path):

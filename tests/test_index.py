@@ -1,5 +1,6 @@
 """Inverted-file construction, serialization, and staleness detection."""
 
+import dataclasses
 import json
 
 import pytest
@@ -152,16 +153,37 @@ def test_format_error_on_bad_postings(f1_index):
         loads_index(json.dumps(doc))
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 3, "2"])
+@pytest.mark.parametrize("fmt", [None, 1, 2, "3"])
 def test_other_or_missing_format_is_refused(f1_index, fmt):
     doc = structured_index_doc(f1_index)
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     if fmt is None:
         del doc["format"]
     else:
         doc["format"] = fmt
     with pytest.raises(IndexFormatError, match="rebuild the index$"):
         loads_index(json.dumps(doc))
+
+
+@pytest.mark.parametrize("shots", [[], ["sh1", "sh2"]])
+def test_occurrence_must_map_to_exactly_one_shot(f1_index, shots):
+    doc = structured_index_doc(f1_index)
+    doc["files"]["occurrence_shots"]["sh2-da1"] = shots
+    with pytest.raises(IndexFormatError, match=r"\['sh2-da1'\] must hold exactly one shot ID"):
+        loads_index(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", ["dancers", "postures", "reflexions", "occurrence_shots"])
+def test_truncated_posting_file_is_refused(f1, f1_index, name):
+    # each occurrence posts exactly once in these files
+    table = dict(getattr(f1_index, name))
+    key = sorted(table)[0]
+    table[key] = table[key][:-1]
+    truncated = dataclasses.replace(f1_index, **{name: table})
+    with pytest.raises(IndexMismatchError, match=rf"^index files\.{name} posts \d+ "):
+        truncated.check_corpus(f1)
+    with pytest.raises(IndexMismatchError, match="rebuild the index$"):
+        IndexedEngine(f1, index=truncated)
 
 
 def test_failed_save_keeps_the_previous_index_file(tmp_path, f1_index, disk_full):

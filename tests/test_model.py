@@ -21,6 +21,7 @@ from dvcm.model import (
     expand_scenes_to_shots,
     is_subinterval,
     lift_granularity,
+    load_corpus,
     loads_corpus,
     parse_corpus_document,
     save_corpus,
@@ -61,8 +62,6 @@ def test_save_and_load(tmp_path):
     corpus = doc_to_corpus(small_doc())
     path = tmp_path / "small.json"
     save_corpus(corpus, path)
-    from dvcm.model import load_corpus
-
     assert load_corpus(path) == corpus
 
 
@@ -76,10 +75,28 @@ def test_fingerprint_is_hex_and_tracks_content():
     assert corpus_fingerprint(doc_to_corpus(doc)) != fp
 
 
-def test_fingerprint_hashes_compact_sorted_json_of_the_document():
+def test_fingerprint_of_a_corpus_in_memory_hashes_its_saved_text():
     corpus = doc_to_corpus(small_doc())
-    compact = json.dumps(corpus_document(corpus), sort_keys=True, separators=(",", ":"))
-    assert corpus_fingerprint(corpus) == hashlib.sha256(compact.encode("utf-8")).hexdigest()
+    text = dumps_corpus(corpus)
+    assert corpus_fingerprint(corpus) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_fingerprint_of_a_loaded_corpus_hashes_the_file_bytes(tmp_path):
+    corpus = doc_to_corpus(small_doc())
+    path = tmp_path / "small.json"
+    save_corpus(corpus, path)
+    loaded = load_corpus(path)
+    assert loaded._fingerprint == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
+
+
+def test_fingerprint_of_a_loaded_corpus_follows_its_layout(tmp_path):
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps(small_doc()), encoding="utf-8")
+    loaded = load_corpus(path)
+    assert loaded == doc_to_corpus(small_doc())
+    assert corpus_fingerprint(loaded) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert corpus_fingerprint(loaded) != corpus_fingerprint(doc_to_corpus(small_doc()))
 
 
 def test_failed_save_keeps_the_previous_corpus_file(tmp_path, disk_full):
