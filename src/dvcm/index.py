@@ -27,9 +27,11 @@ canonical, so building the same corpus twice yields byte-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _json_string
 
-from .model import Corpus, corpus_fingerprint, write_text_atomic
+from .model import Corpus, corpus_fingerprint, write_strings, write_text_atomic
 from .normalize import normalize_body_part, normalize_key
 
 
@@ -131,20 +133,40 @@ def build_index(corpus: Corpus) -> IndexSet:
     )
 
 
+def _write_postings(table: dict[str, tuple[str, ...]]) -> str:
+    """One posting file, as the object it is inside "files"."""
+    if not table:
+        return "{}"
+    nl = "\n      "
+    entries = [
+        f"{nl}{_json_string(key)}: {write_strings(table[key], nl)}" for key in sorted(table)
+    ]
+    return "{" + ",".join(entries) + "\n    }"
+
+
+def index_chunks(index: IndexSet) -> Iterator[str]:
+    """The text of the index file, one posting file to a chunk.
+
+    The text is that of ``json.dumps(document, indent=2, sort_keys=True)``,
+    written without the pure-Python indent encoder; the chunks join to
+    ``dumps_index``.
+    """
+    head = '{\n  "files": {'
+    for name in sorted(_POSTING_FILES):
+        yield f"{head}\n    {_json_string(name)}: {_write_postings(getattr(index, name))}"
+        head = ","
+    yield (
+        f'\n  }},\n  "fingerprint": {_json_string(index.fingerprint)},'
+        f'\n  "format": {INDEX_FORMAT!r}\n}}\n'
+    )
+
+
 def dumps_index(index: IndexSet) -> str:
-    doc = {
-        "format": INDEX_FORMAT,
-        "fingerprint": index.fingerprint,
-        "files": {
-            name: {key: list(values) for key, values in getattr(index, name).items()}
-            for name in _POSTING_FILES
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(index_chunks(index))
 
 
 def save_index(index: IndexSet, path) -> None:
-    write_text_atomic(path, dumps_index(index))
+    write_text_atomic(path, index_chunks(index))
 
 
 def loads_index(text: str) -> IndexSet:

@@ -14,7 +14,9 @@ Each entity is an object keyed by its dataclass field names. Intervals are
 serialized as {"start": int, "end": int}, maps as arrays of
 {"dancer_id": ..., "values": [...]} pairs. Unknown fields are rejected. A
 field whose annotation ends in "| None" is optional: it may be omitted or
-null on input, and is always written, as null when unset.
+null on input, and is always written, as null when unset. Files are
+written as json.dumps(document, indent=2, sort_keys=True) writes them, so
+they are ASCII, with catalogs sorted by ID.
 
 Corpora are immutable after loading; every operation here is a pure read.
 """
@@ -27,7 +29,9 @@ import enum
 import hashlib
 import json
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter, itemgetter
 
 STEP_CLASSES = ("PY", "AD", "ASHA", "SHA", "CS")
@@ -566,11 +570,19 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 #
 # Both directions are derived from the dataclass fields. A field's
 # annotation (a string, under the __future__ import) picks its parse and
-# serialize functions from _CODECS; an annotation ending in "| None" marks
-# the field optional. Parse functions raise CorpusFormatError with a location
+# write functions from _CODECS; an annotation ending in "| None" marks the
+# field optional. Parse functions raise CorpusFormatError with a location
 # relative to the value they were given, and every enclosing level prefixes
 # its own part ("[3]", ".posture", "shots") as the error passes outward, so a
 # location string is only built when a check fails.
+#
+# Write functions emit, without building a document, the text that
+# json.dumps(document, indent=2, sort_keys=True) gives: json runs an
+# indented dump in its pure-Python encoder, since the C one cannot indent.
+# A write function takes the value and the newline and indentation of the
+# line the value starts on, and returns the value's text. As in json,
+# strings go through the C encode_basestring_ascii, so every file is ASCII,
+# and ints through int.__repr__.
 
 # Top-level arrays of a corpus document and the entity each one holds.
 _CATALOGS = {
@@ -711,59 +723,101 @@ def _array_parser(parse_item, order=None):
     return parse
 
 
-def _record_codec(cls):
-    """Parse and serialize functions for a dataclass, derived from its fields.
+def write_strings(values, nl: str) -> str:
+    """A string array in the given order; the index writer uses it too."""
+    if not values:
+        return "[]"
+    inner = nl + "  "
+    return f"[{inner}{(',' + inner).join(map(_json_string, values))}{nl}]"
 
-    The serializer is generated as one dict display, as dataclasses generate
-    their own methods: a display runs about three times faster than
-    ``dict(zip(names, values))``, and corpus_document calls it for every
-    entity, occurrence and interval.
+
+def _array_writer(write_item):
+    """Write a tuple as an array of the items ``write_item`` writes."""
+
+    def write(values, nl: str) -> str:
+        if not values:
+            return "[]"
+        inner = nl + "  "
+        return f"[{inner}{(',' + inner).join([write_item(v, inner) for v in values])}{nl}]"
+
+    return write
+
+
+def _optional_writer(write):
+    return lambda value, nl: "null" if value is None else write(value, nl)
+
+
+def _record_writer(specs: tuple[tuple[str, str], ...], *, unpack: bool = False):
+    """Write a record whose fields are (name, annotation) pairs as an object.
+
+    The record's fields are read as attributes, or, with ``unpack``, by
+    unpacking it in ``specs`` order. The writer is generated as one f-string
+    over the fields in sorted-name order, as dataclasses generate their own
+    methods. Plain ``str`` and ``int`` fields are written inline; the others
+    go through _CODECS.
     """
-    parse = _record_parser(cls, tuple((f.name, f.type) for f in fields(cls)))
-    namespace = {}
-    items = []
-    for f in fields(cls):
-        base, optional = _split_optional(f.type)
-        value = f"record.{f.name}"
-        dump = _CODECS[base][1]
-        if dump is not None:
-            namespace[f"dump_{f.name}"] = _optional(dump) if optional else dump
-            value = f"dump_{f.name}({value})"
-        items.append(f"{f.name!r}: {value}")
-    return parse, eval(f"lambda record: {{{', '.join(items)}}}", namespace)
+    namespace = {"string": _json_string, "integer": int.__repr__}
+    parts = []
+    for name, ann in sorted(specs):
+        base, optional = _split_optional(ann)
+        value = name if unpack else f"r.{name}"
+        if base in ("str", "int") and not optional:
+            text = f"{'string' if base == 'str' else 'integer'}({value})"
+        else:
+            write = _CODECS[base][1]
+            namespace[f"write_{name}"] = _optional_writer(write) if optional else write
+            text = f"write_{name}({value}, n)"
+        parts.append("{n}" + _json_string(name) + ": {" + text + "}")
+    unpacked = ", ".join(name for name, _ in specs)
+    source = (
+        "def write(r, nl):\n"
+        + (f"    {unpacked}, = r\n" if unpack else "")
+        + '    n = nl + "  "\n'
+        + "    return f'{{" + ",".join(parts) + "{nl}}}'\n"
+    )
+    exec(source, namespace)
+    return namespace["write"]
+
+
+def _record_codec(cls):
+    """Parse and write functions for a dataclass, derived from its fields."""
+    specs = tuple((f.name, f.type) for f in fields(cls))
+    return _record_parser(cls, specs), _record_writer(specs)
 
 
 def _nested_records(cls, order):
     """Codec for an array of records nested in an entity, kept sorted by ``order``."""
-    parse, dump = _record_codec(cls)
-    return _array_parser(parse, order), lambda records: [dump(r) for r in records]
+    parse, write = _record_codec(cls)
+    return _array_parser(parse, order), _array_writer(write)
 
 
 _strings = _array_parser(_str)
 
-# Field annotation -> (parse, serialize); a serialize of None is the identity.
+# A scene's costume map: {"dancer_id", "values"} objects, kept sorted by dancer.
+_COSTUME_ENTRY = (("dancer_id", "str"), ("values", "frozenset[str]"))
+
+# Field annotation -> (parse, write).
 _CODECS = {
-    "str": (_str, None),
-    "int": (_int, None),
-    "datetime.date": (_date, datetime.date.isoformat),
-    "tuple[str, ...]": (_strings, list),
-    "frozenset[str]": (lambda value: frozenset(_strings(value)), sorted),
+    "str": (_str, lambda value, nl: _json_string(value)),
+    "int": (_int, lambda value, nl: int.__repr__(value)),
+    "datetime.date": (_date, lambda value, nl: _json_string(value.isoformat())),
+    "tuple[str, ...]": (_strings, write_strings),
+    "frozenset[str]": (
+        lambda value: frozenset(_strings(value)),
+        lambda values, nl: write_strings(sorted(values), nl),
+    ),
 }
 _CODECS["TimeInterval"] = _record_codec(TimeInterval)
 _CODECS["tuple[StepOccurrence, ...]"] = _nested_records(StepOccurrence, attrgetter("occ_id"))
 _CODECS["tuple[SpatialTriplet, ...]"] = _nested_records(
     SpatialTriplet, attrgetter("dancer1", "relation", "dancer2")
 )
-# A scene's costume map: {"dancer_id", "values"} objects, kept sorted by dancer.
 _CODECS["tuple[tuple[str, frozenset[str]], ...]"] = (
     _array_parser(
-        _record_parser(
-            lambda dancer_id, values: (dancer_id, values),
-            (("dancer_id", "str"), ("values", "frozenset[str]")),
-        ),
+        _record_parser(lambda dancer_id, values: (dancer_id, values), _COSTUME_ENTRY),
         itemgetter(0),
     ),
-    lambda entries: [{"dancer_id": did, "values": sorted(vals)} for did, vals in entries],
+    _array_writer(_record_writer(_COSTUME_ENTRY, unpack=True)),
 )
 
 _CATALOG_CODECS = {key: _record_codec(cls) for key, cls in _CATALOGS.items()}
@@ -840,29 +894,54 @@ def load_corpus(path) -> Corpus:
     return corpus
 
 
-def corpus_document(corpus: Corpus) -> dict:
-    """Canonical JSON document for a corpus: catalogs sorted by ID."""
-    doc: dict = {}
-    for key, (_, dump) in _CATALOG_CODECS.items():
+def corpus_chunks(corpus: Corpus) -> Iterator[str]:
+    """The text of the corpus file, one entity to a chunk.
+
+    Catalogs are sorted by ID. The chunks join to ``dumps_corpus``; the
+    savers write them one by one, so the whole text is never held at once.
+    """
+    nl = "\n    "
+    head = "{"
+    for key in sorted(_CATALOGS):
+        write = _CATALOG_CODECS[key][1]
         table = getattr(corpus, key)
-        doc[key] = [dump(table[k]) for k in sorted(table)]
-    return doc
+        if not table:
+            yield f"{head}\n  {_json_string(key)}: []"
+        else:
+            sep = f"{head}\n  {_json_string(key)}: [{nl}"
+            for entity_id in sorted(table):
+                yield sep + write(table[entity_id], nl)
+                sep = "," + nl
+            yield "\n  ]"
+        head = ","
+    yield "\n}\n"
 
 
 def dumps_corpus(corpus: Corpus) -> str:
-    return json.dumps(corpus_document(corpus), indent=2, sort_keys=True) + "\n"
+    return "".join(corpus_chunks(corpus))
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write text to path by way of ``<path>.tmp`` and a rename.
+def corpus_document(corpus: Corpus) -> dict:
+    """The corpus file's JSON document, decoded: the corpus as plain data.
 
-    An interrupted or failed write leaves the previous file, or none, in
-    place and removes the temporary file.
+    Nothing in the package calls it; it is for callers that read a corpus
+    as JSON values, such as a benchmark's query generator.
+    """
+    return json.loads(dumps_corpus(corpus))
+
+
+def write_text_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the chunks of a text to path by way of ``<path>.tmp`` and a rename.
+
+    An interrupted or failed write, including one raised by the chunk
+    source, leaves the previous file, or none, in place and removes the
+    temporary file.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -871,21 +950,22 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    write_text_atomic(path, dumps_corpus(corpus))
+    write_text_atomic(path, corpus_chunks(corpus))
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
     """SHA-256 of the corpus file's bytes.
 
     A corpus read by ``load_corpus`` carries the hash of the file it was
-    read from. A corpus built in memory is hashed as ``dumps_corpus``
-    text, which is the file ``save_corpus`` writes, so a file dvcm wrote
-    and the corpus it was written from agree. Indexes pin this value, so
-    an index belongs to the exact bytes of one corpus file. It is computed
-    once per corpus object and cached, since corpora are immutable after
-    construction.
+    read from. A corpus built in memory is hashed as the chunks of the file
+    ``save_corpus`` writes, so a file dvcm wrote and the corpus it was
+    written from agree. Indexes pin this value, so an index belongs to the
+    exact bytes of one corpus file. It is computed once per corpus object
+    and cached, since corpora are immutable after construction.
     """
     if corpus._fingerprint is None:
-        text = dumps_corpus(corpus)
-        corpus._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256()
+        for chunk in corpus_chunks(corpus):
+            digest.update(chunk.encode("utf-8"))
+        corpus._fingerprint = digest.hexdigest()
     return corpus._fingerprint

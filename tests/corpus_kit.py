@@ -1,15 +1,18 @@
-"""Shared test material: a small valid corpus document, independent oracles
-for the song grammar, interval algebra and dancer relations, and witness
-re-validation. The oracles are deliberately written from the definitions
+"""Shared test material: a small valid corpus document, a strategy drawing
+small valid corpus documents, independent oracles for the song grammar,
+interval algebra and dancer relations, and witness re-validation. The oracles are deliberately written from the definitions
 with their own structure so they can disagree with the package when the
 package is wrong.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
-from dvcm.model import Corpus, parse_corpus_document
+from hypothesis import strategies as st
+
+from dvcm.model import SPATIAL_RELATIONS, Corpus, parse_corpus_document
 from dvcm.temporal import ALLEN_RELATIONS, Witness
 
 
@@ -151,6 +154,156 @@ def small_doc() -> dict:
 
 def doc_to_corpus(doc: dict) -> Corpus:
     return parse_corpus_document(doc)
+
+
+# Strings a JSON writer must escape or pass through as \u escapes: quotes,
+# backslashes, control characters, non-ASCII and astral-plane characters.
+AWKWARD_STRINGS = ('"', "\\", 'a"b\\c', "\x00", "\x1f\t\n\r", "\x7f", "é", "\u2028", "\U0001f483")
+
+texts = st.text(max_size=6) | st.sampled_from(AWKWARD_STRINGS)
+
+# Component sequences that match a song type.
+_SONG_SEQUENCES = (("SA",), ("SA", "SA"), ("PA", "SA"), ("PA", "AP", "SA", "CH", "SA"))
+
+
+def empty_doc() -> dict:
+    """A corpus document with every catalog empty."""
+    return {key: [] for key in small_doc()}
+
+
+@st.composite
+def corpus_documents(draw) -> dict:
+    """A small valid corpus document with drawn strings, numbers and sizes.
+
+    Every string field that no integrity rule constrains is drawn from
+    ``texts``; IDs are drawn too, after a per-catalog ordinal that keeps
+    them unique. Every catalog below the video hierarchy may be empty, and
+    so may optional fields, arrays and sets; ``empty_doc`` has no entity.
+    """
+
+    def ids(n: int) -> list[str]:
+        return [f"{i}:{draw(texts)}" for i in range(n)]
+
+    def some(pool) -> list:
+        return draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+
+    def interval() -> dict:
+        start = draw(st.integers(0, 2**40))
+        return {"start": start, "end": start + draw(st.integers(0, 1000))}
+
+    def named(n: int, *fields: str) -> list[dict]:
+        return [{"id": i, **{f: draw(texts) for f in fields}} for i in ids(n)]
+
+    dancers = [
+        {**dancer, "age": draw(st.integers(0, 2**63))}
+        for dancer in named(draw(st.integers(0, 3)), "name", "sex")
+    ]
+    dancer_ids = [d["id"] for d in dancers]
+    costumes = named(draw(st.integers(0, 2)), "name", "description")
+    instruments = named(draw(st.integers(0, 2)), "name", "description")
+    musicians = named(1, "name", "address", "sex", "phone")
+    songs = [
+        {**song, "musician_id": draw(st.sampled_from(musicians))["id"]}
+        for song in named(draw(st.integers(1, 2)), "name", "lyrics")
+    ]
+    backgrounds = [
+        {**bg, "location_existence": None if draw(st.booleans()) else interval()}
+        for bg in named(draw(st.integers(1, 2)), "name", "location", "description")
+    ]
+    step_defs = [
+        {**sd, "step_class": "CS", "body_parts": draw(st.lists(texts, max_size=3, unique=True))}
+        for sd in named(draw(st.integers(0, 2)), "name", "movement")
+    ]
+
+    videos, compound_scenes, scenes, shots = [], [], [], []
+    occ_ordinals = itertools.count()
+    for video_id in ids(draw(st.integers(1, 2))):
+        video = {
+            "id": video_id,
+            "life_span": interval(),
+            "recording_date": draw(st.dates()).isoformat(),
+            "description": draw(texts),
+            "compound_scene_ids": [],
+        }
+        videos.append(video)
+        for _ in range(draw(st.integers(0, 2))):
+            cs_id = f"{len(compound_scenes)}:{draw(texts)}"
+            video["compound_scene_ids"].append(cs_id)
+            cs = {
+                "id": cs_id,
+                "video_id": video_id,
+                "song_id": draw(st.sampled_from(songs))["id"],
+                "scene_ids": [],
+                "description": draw(texts),
+            }
+            compound_scenes.append(cs)
+            for component in draw(st.sampled_from(_SONG_SEQUENCES)):
+                scene_id = f"{len(scenes)}:{draw(texts)}"
+                cs["scene_ids"].append(scene_id)
+                scene_dancers: set[str] = set()
+                shot_ids = []
+                for k in range(draw(st.integers(0, 3))):
+                    shot_id = f"{len(shots)}:{draw(texts)}"
+                    shot_ids.append(shot_id)
+                    present = some(dancer_ids)
+                    scene_dancers.update(present)
+                    occurrences = []
+                    for dancer_id in some(present) if step_defs else []:
+                        occ = {
+                            "occ_id": f"{next(occ_ordinals)}:{draw(texts)}",
+                            "shot_id": shot_id,
+                            "dancer_id": dancer_id,
+                            "step_def_id": draw(st.sampled_from(step_defs))["id"],
+                            "posture": draw(texts),
+                            "reflexion": draw(texts),
+                        }
+                        if instruments and draw(st.booleans()):
+                            occ["instrument_id"] = draw(st.sampled_from(instruments))["id"]
+                        occurrences.append(occ)
+                    pairs = [(a, b) for a in present for b in present if a != b]
+                    triplets = [
+                        {
+                            "dancer1": a,
+                            "dancer2": b,
+                            "relation": draw(st.sampled_from(sorted(SPATIAL_RELATIONS))),
+                        }
+                        for a, b in some(pairs)[:2]
+                    ]
+                    shots.append({
+                        "id": shot_id,
+                        "scene_id": scene_id,
+                        "life_span": {"start": 10 * k, "end": 10 * k + draw(st.integers(0, 10))},
+                        "dancer_ids": present,
+                        "occurrences": occurrences,
+                        "spatial_triplets": triplets,
+                        "description": draw(texts),
+                    })
+                costume_ids = [c["id"] for c in costumes]
+                scenes.append({
+                    "id": scene_id,
+                    "compound_scene_id": cs_id,
+                    "life_span": {"start": 0, "end": 10 * len(shot_ids) + 10},
+                    "component": component,
+                    "background_id": draw(st.sampled_from(backgrounds))["id"],
+                    "costume_map": [
+                        {"dancer_id": dancer_id, "values": some(costume_ids)}
+                        for dancer_id in some(sorted(scene_dancers))
+                    ],
+                    "shot_ids": shot_ids,
+                })
+    return {
+        "videos": videos,
+        "songs": songs,
+        "musicians": musicians,
+        "dancers": dancers,
+        "backgrounds": backgrounds,
+        "costumes": costumes,
+        "instruments": instruments,
+        "step_defs": step_defs,
+        "compound_scenes": compound_scenes,
+        "scenes": scenes,
+        "shots": shots,
+    }
 
 
 def occurrence_ids(corpus: Corpus) -> tuple[str, ...]:

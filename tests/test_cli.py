@@ -267,7 +267,7 @@ def test_cold_index_and_query_never_serialize_the_corpus(
 
         return wrapper
 
-    for name in ("corpus_document", "dumps_corpus"):
+    for name in ("dumps_corpus", "corpus_chunks"):
         monkeypatch.setattr(dvcm.model, name, counting(name))
     code, _, _ = run_cli(capsys, "index", f1_path, "-o", index_path)
     assert code == 0 and calls == []

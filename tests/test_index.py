@@ -4,11 +4,14 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corpus_kit import doc_to_corpus, occurrence_ids, small_doc
+from corpus_kit import corpus_documents, doc_to_corpus, empty_doc, occurrence_ids, small_doc, texts
 from dvcm.engine import IndexedEngine
 from dvcm.index import (
     IndexMismatchError,
+    IndexSet,
     build_index,
     dumps_index,
     load_index,
@@ -194,6 +197,42 @@ def test_failed_save_keeps_the_previous_index_file(tmp_path, f1_index, disk_full
         save_index(build_index(doc_to_corpus(small_doc())), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["f1.index.json"]
+
+
+def assert_index_text_matches_the_json_encoder(index):
+    # the stdlib encoder is the oracle for the text, the parser for the content
+    text = dumps_index(index)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert loads_index(text) == index
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_documents())
+@example(empty_doc())
+@example(small_doc())
+def test_index_writer_matches_the_json_encoder_on_built_indexes(doc):
+    assert_index_text_matches_the_json_encoder(build_index(doc_to_corpus(doc)))
+
+
+_posting_files = st.dictionaries(texts, st.lists(texts, max_size=3).map(tuple), max_size=3)
+
+_index_sets = st.builds(
+    IndexSet,
+    fingerprint=texts,
+    **{
+        f.name: _posting_files
+        for f in dataclasses.fields(IndexSet)
+        if f.name not in ("fingerprint", "occurrence_shots")
+    },
+    occurrence_shots=st.dictionaries(texts, texts.map(lambda shot: (shot,)), max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_index_sets)
+@example(IndexSet("", **{f.name: {} for f in dataclasses.fields(IndexSet)[1:]}))
+def test_index_writer_matches_the_json_encoder_on_drawn_indexes(index):
+    assert_index_text_matches_the_json_encoder(index)
 
 
 def test_shots_of_occurrences(f1, f1_index):

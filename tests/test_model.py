@@ -1,11 +1,13 @@
 """Corpus model: parsing, integrity validation, serialization, lookups."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
 
-from corpus_kit import doc_to_corpus, occurrence_ids, small_doc
+from corpus_kit import corpus_documents, doc_to_corpus, empty_doc, occurrence_ids, small_doc
 from dvcm.model import (
     Corpus,
     CorpusFormatError,
@@ -15,6 +17,7 @@ from dvcm.model import (
     StepDefinition,
     TimeInterval,
     UnknownIdError,
+    corpus_chunks,
     corpus_document,
     corpus_fingerprint,
     dumps_corpus,
@@ -26,6 +29,7 @@ from dvcm.model import (
     parse_corpus_document,
     save_corpus,
     validate_corpus,
+    write_text_atomic,
 )
 from dvcm.generator import GenParams, generate_corpus
 
@@ -49,6 +53,19 @@ def test_serialization_is_canonical_and_stable():
     corpus = doc_to_corpus(small_doc())
     text = dumps_corpus(corpus)
     assert dumps_corpus(loads_corpus(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_documents())
+@example(empty_doc())
+@example(small_doc())
+def test_corpus_writer_matches_the_json_encoder(doc):
+    # the stdlib encoder is the oracle for the text, the parser for the content
+    corpus = doc_to_corpus(doc)
+    text = dumps_corpus(corpus)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert loads_corpus(text) == corpus
+    assert corpus_fingerprint(corpus) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_top_level_array_order_does_not_matter():
@@ -107,6 +124,24 @@ def test_failed_save_keeps_the_previous_corpus_file(tmp_path, disk_full):
     doc["shots"][0]["description"] = "renamed"
     with pytest.raises(OSError):
         save_corpus(doc_to_corpus(doc), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["small.json"]
+
+
+def test_a_chunk_source_failing_partway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "small.json"
+    save_corpus(doc_to_corpus(small_doc()), path)
+    before = path.read_bytes()
+    doc = small_doc()
+    doc["shots"][0]["description"] = "renamed"
+
+    def failing_chunks():
+        yield from itertools.islice(corpus_chunks(doc_to_corpus(doc)), 3)
+        assert (tmp_path / "small.json.tmp").exists()
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        write_text_atomic(path, failing_chunks())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["small.json"]
 
