@@ -16,9 +16,11 @@ serialized as {"start": int, "end": int}, maps as arrays of
 field whose annotation ends in "| None" is optional: it may be omitted or
 null on input, and is always written, as null when unset. Files are
 written as json.dumps(document, indent=2, sort_keys=True) writes them, so
-they are ASCII, with catalogs sorted by ID.
+they are ASCII, with catalogs sorted by ID. Parsers and writers are
+generated from the dataclass fields (see "Codec" below).
 
-Corpora are immutable after loading; every operation here is a pure read.
+Entities are frozen, slotted dataclasses, and corpora are immutable after
+loading; every operation here is a pure read.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter, itemgetter
 
@@ -93,7 +96,7 @@ class UnknownIdError(LookupError):
     """An identifier does not resolve in the corpus."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """Closed interval in integer ticks (milliseconds from video start)."""
 
@@ -104,7 +107,7 @@ class TimeInterval:
         return 0 <= self.start <= self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dancer:
     id: str
     name: str
@@ -112,7 +115,7 @@ class Dancer:
     sex: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepDefinition:
     """A named dance step: one of the four classical classes or a casual step."""
 
@@ -123,7 +126,7 @@ class StepDefinition:
     body_parts: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOccurrence:
     """One dancer performing one step in one shot; the unit of retrieval."""
 
@@ -136,14 +139,14 @@ class StepOccurrence:
     instrument_id: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpatialTriplet:
     dancer1: str
     dancer2: str
     relation: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shot:
     id: str
     scene_id: str
@@ -160,7 +163,7 @@ class Shot:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scene:
     """Abstraction of one song component; owns an ordered shot sequence."""
 
@@ -173,7 +176,7 @@ class Scene:
     shot_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompoundScene:
     id: str
     video_id: str
@@ -182,7 +185,7 @@ class CompoundScene:
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Video:
     id: str
     life_span: TimeInterval
@@ -191,7 +194,7 @@ class Video:
     compound_scene_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Song:
     id: str
     name: str
@@ -199,7 +202,7 @@ class Song:
     musician_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Musician:
     id: str
     name: str
@@ -208,7 +211,7 @@ class Musician:
     phone: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Background:
     id: str
     name: str
@@ -217,14 +220,14 @@ class Background:
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Costume:
     id: str
     name: str
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instrument:
     id: str
     name: str
@@ -576,6 +579,12 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 # its own part ("[3]", ".posture", "shots") as the error passes outward, so a
 # location string is only built when a check fails.
 #
+# Each record class gets one parser, generated with exec as straight-line
+# code over its fields, the way dataclasses generate their own methods; it
+# builds the slotted entity by filling its slots directly. A string array is
+# accepted with one C-level check of all its items; only when that check
+# fails does the item-by-item parser run, to locate the bad item.
+#
 # Write functions emit, without building a document, the text that
 # json.dumps(document, indent=2, sort_keys=True) gives: json runs an
 # indented dump in its pure-Python encoder, since the C one cannot indent.
@@ -635,17 +644,10 @@ def _date(value) -> datetime.date:
     raise CorpusFormatError("", f"invalid date {value!r}")
 
 
-def _one_of(allowed: tuple[str, ...]):
-    def parse(value) -> str:
-        if _str(value) in allowed:
-            return value
-        raise CorpusFormatError("", f"expected one of {list(allowed)}, got {value!r}")
-
-    return parse
-
-
-def _optional(convert):
-    return lambda value: None if value is None else convert(value)
+def _not_one_of(allowed: tuple[str, ...], value) -> CorpusFormatError:
+    if not isinstance(value, str):
+        return _expected("string", value)
+    return CorpusFormatError("", f"expected one of {list(allowed)}, got {value!r}")
 
 
 def _split_optional(annotation: str) -> tuple[str, bool]:
@@ -654,53 +656,86 @@ def _split_optional(annotation: str) -> tuple[str, bool]:
     return base, base != annotation
 
 
-def _record_parser(make, specs: tuple[tuple[str, str], ...]):
+def _record_parser(specs: tuple[tuple[str, str], ...], cls=None):
     """Parse a JSON object whose fields are (name, annotation) pairs.
 
-    The values are passed to ``make`` positionally, in ``specs`` order.
-    Plain ``str`` fields are checked inline; the others go through _CODECS.
+    The result is an instance of ``cls``, a slotted dataclass with these
+    fields, or, when ``cls`` is None, the tuple of values in ``specs`` order.
+    The parser is generated as straight-line code with one block per field,
+    in ``specs`` order, so the first bad field in that order is the one
+    reported. Plain ``str`` and ``int`` fields and the fixed vocabularies
+    are checked inline; the others, and optional fields, go through _CODECS.
     """
     names = tuple(name for name, _ in specs)
     allowed = frozenset(names)
-    required = set()
-    steps = []
+    required = frozenset(name for name, ann in specs if not _split_optional(ann)[1])
+
+    def key_error(keys) -> CorpusFormatError:
+        unknown = keys - allowed
+        if unknown:
+            return CorpusFormatError("", f"unknown field(s) {sorted(unknown)}")
+        missing = next(name for name in names if name in required and name not in keys)
+        return CorpusFormatError("", f"missing field {missing!r}")
+
+    namespace = {
+        "allowed": allowed,
+        "required": required,
+        "key_error": key_error,
+        "expected": _expected,
+        "not_one_of": _not_one_of,
+        "within": _within,
+        "CorpusFormatError": CorpusFormatError,
+    }
+    body = [
+        "if not isinstance(obj, dict):",
+        '    raise expected("object", obj)',
+        "keys = obj.keys()",
+        "if keys != allowed and not (keys <= allowed and keys >= required):",
+        "    raise key_error(keys)",
+    ]
     for name, ann in specs:
         base, optional = _split_optional(ann)
-        if not optional:
-            required.add(name)
-        if name in _ALLOWED_VALUES:
-            convert = _one_of(_ALLOWED_VALUES[name])
-        elif base == "str" and not optional:
-            convert = None
-        else:
-            convert = _CODECS[base][0]
-        steps.append((name, _optional(convert) if optional else convert))
-
-    def parse(obj):
-        if not isinstance(obj, dict):
-            raise _expected("object", obj)
-        keys = obj.keys()
-        if not (keys <= allowed and keys >= required):
-            unknown = keys - allowed
-            if unknown:
-                raise CorpusFormatError("", f"unknown field(s) {sorted(unknown)}")
-            missing = next(name for name in names if name in required and name not in obj)
-            raise CorpusFormatError("", f"missing field {missing!r}")
-        args = []
-        for name, convert in steps:
-            value = obj.get(name)
-            if convert is None:
-                if not isinstance(value, str):
-                    raise _within(f".{name}", _expected("string", value))
+        v = f"v_{name}"
+        if optional or (base not in ("str", "int") and name not in _ALLOWED_VALUES):
+            namespace[f"parse_{name}"] = _CODECS[base][0]
+            block = [
+                "try:",
+                f"    {v} = parse_{name}({v})",
+                "except CorpusFormatError as exc:",
+                f'    raise within(".{name}", exc) from None',
+            ]
+            if optional:
+                body += [f"{v} = obj.get({name!r})", f"if {v} is not None:"]
+                body += ["    " + line for line in block]
             else:
-                try:
-                    value = convert(value)
-                except CorpusFormatError as exc:
-                    raise _within(f".{name}", exc) from None
-            args.append(value)
-        return make(*args)
-
-    return parse
+                body += [f"{v} = obj[{name!r}]", *block]
+            continue
+        if name in _ALLOWED_VALUES:
+            namespace[f"allowed_{name}"] = _ALLOWED_VALUES[name]
+            check = f"{v} in allowed_{name}"
+            error = f"not_one_of(allowed_{name}, {v})"
+        elif base == "str":
+            check = f"isinstance({v}, str)"
+            error = f'expected("string", {v})'
+        else:
+            check = f"isinstance({v}, int) and not isinstance({v}, bool)"
+            error = f'expected("integer", {v})'
+        body += [f"{v} = obj[{name!r}]", f"if not ({check}):", f'    raise within(".{name}", {error})']
+    if cls is None:
+        body.append(f"return ({', '.join(f'v_{name}' for name in names)},)")
+    else:
+        # fill the slots through their member descriptors, as the frozen
+        # __init__ does through object.__setattr__, without calling it:
+        # half the cost of building an entity (no entity has __post_init__)
+        namespace["new"] = object.__new__
+        namespace["cls"] = cls
+        body.append("r = new(cls)")
+        for name in names:
+            namespace[f"set_{name}"] = cls.__dict__[name].__set__
+            body.append(f"set_{name}(r, v_{name})")
+        body.append("return r")
+    exec("def parse(obj):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["parse"]
 
 
 def _array_parser(parse_item, order=None):
@@ -782,7 +817,7 @@ def _record_writer(specs: tuple[tuple[str, str], ...], *, unpack: bool = False):
 def _record_codec(cls):
     """Parse and write functions for a dataclass, derived from its fields."""
     specs = tuple((f.name, f.type) for f in fields(cls))
-    return _record_parser(cls, specs), _record_writer(specs)
+    return _record_parser(specs, cls), _record_writer(specs)
 
 
 def _nested_records(cls, order):
@@ -791,7 +826,22 @@ def _nested_records(cls, order):
     return _array_parser(parse, order), _array_writer(write)
 
 
-_strings = _array_parser(_str)
+_string_items = _array_parser(_str)
+
+
+def _string_array(into):
+    """Parse a string array into ``into``, checking every item in one C call.
+
+    The per-item parser runs only when that check fails, to locate the error.
+    """
+
+    def parse(value):
+        if not (isinstance(value, list) and all(map(isinstance, value, repeat(str)))):
+            _string_items(value)  # raises, naming the bad item
+        return into(value)
+
+    return parse
+
 
 # A scene's costume map: {"dancer_id", "values"} objects, kept sorted by dancer.
 _COSTUME_ENTRY = (("dancer_id", "str"), ("values", "frozenset[str]"))
@@ -801,9 +851,9 @@ _CODECS = {
     "str": (_str, lambda value, nl: _json_string(value)),
     "int": (_int, lambda value, nl: int.__repr__(value)),
     "datetime.date": (_date, lambda value, nl: _json_string(value.isoformat())),
-    "tuple[str, ...]": (_strings, write_strings),
+    "tuple[str, ...]": (_string_array(tuple), write_strings),
     "frozenset[str]": (
-        lambda value: frozenset(_strings(value)),
+        _string_array(frozenset),
         lambda values, nl: write_strings(sorted(values), nl),
     ),
 }
@@ -814,7 +864,7 @@ _CODECS["tuple[SpatialTriplet, ...]"] = _nested_records(
 )
 _CODECS["tuple[tuple[str, frozenset[str]], ...]"] = (
     _array_parser(
-        _record_parser(lambda dancer_id, values: (dancer_id, values), _COSTUME_ENTRY),
+        _record_parser(_COSTUME_ENTRY),
         itemgetter(0),
     ),
     _array_writer(_record_writer(_COSTUME_ENTRY, unpack=True)),

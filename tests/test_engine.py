@@ -11,7 +11,9 @@ from dvcm.engine import (
     UnknownNameError,
 )
 from dvcm.generator import CounterRng
+from dvcm.index import IndexSet
 from dvcm.model import Granularity
+from dvcm.normalize import normalize_key
 from dvcm.qlang import (
     And,
     FacetAtom,
@@ -21,6 +23,7 @@ from dvcm.qlang import (
     format_query,
     parse_query,
 )
+from dvcm.temporal import ALLEN_RELATIONS, DANCER_RELATIONS
 
 ENGINES = [SequentialScanEngine, IndexedEngine]
 
@@ -297,6 +300,27 @@ def test_engines_agree_on_random_workload(medium_corpus):
     for _ in range(150):
         query = random_containment_query(vocabulary, rng)
         assert sequential.execute(query) == indexed.execute(query), format_query(query)
+
+
+def test_temporal_pruning_resolves_each_dancer_once(medium_corpus, monkeypatch):
+    resolved = []
+    resolve = IndexSet.shots_of_occurrences
+
+    def counting(index, occ_ids):
+        resolved.append(occ_ids)
+        return resolve(index, occ_ids)
+
+    monkeypatch.setattr(IndexSet, "shots_of_occurrences", counting)
+    sequential = SequentialScanEngine(medium_corpus)
+    indexed = IndexedEngine(medium_corpus)
+    names = sorted({normalize_key(d.name) for d in medium_corpus.dancers.values()})
+    pairs = list(zip(names, names[1:] + names[:1]))
+    for relation in (*DANCER_RELATIONS, *ALLEN_RELATIONS):
+        for a, b in pairs:
+            body = parse_query(f'find shots where {relation}(dancer = "{a}", dancer = "{b}")').body
+            assert indexed.shots_for_body(body) == sequential.shots_for_body(body), relation
+    # one resolution per dancer, made by the first query that names it
+    assert len(resolved) == len(names)
 
 
 def test_or_is_union_and_is_intersection(medium_corpus):

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -14,9 +16,12 @@ from dvcm.model import (
     Granularity,
     IntegrityError,
     Scene,
+    SpatialTriplet,
     StepDefinition,
+    StepOccurrence,
     TimeInterval,
     UnknownIdError,
+    _CATALOGS,
     corpus_chunks,
     corpus_document,
     corpus_fingerprint,
@@ -154,6 +159,54 @@ def test_corpus_equality_ignores_derived_tables():
 
 
 # --------------------------------------------------------------------------
+# Entities
+
+ENTITY_CLASSES = (*_CATALOGS.values(), StepOccurrence, SpatialTriplet, TimeInterval)
+
+
+def entities(corpus: Corpus):
+    """Every entity of a corpus, nested ones included."""
+    for key in _CATALOGS:
+        yield from getattr(corpus, key).values()
+    for shot in corpus.shots.values():
+        yield shot.life_span
+        yield from shot.occurrences
+        yield from shot.spatial_triplets
+    for scene in corpus.scenes.values():
+        yield scene.life_span
+    for video in corpus.videos.values():
+        yield video.life_span
+
+
+@pytest.fixture(scope="module")
+def generated_corpus():
+    return generate_corpus(GenParams(n_shots=200, n_dancers=5, seed=3))
+
+
+@pytest.mark.parametrize("cls", ENTITY_CLASSES, ids=lambda cls: cls.__name__)
+def test_entities_are_frozen_and_slotted(cls, generated_corpus):
+    parsed = loads_corpus(dumps_corpus(generated_corpus))
+    entity = next(e for e in entities(parsed) if type(e) is cls)
+    assert not hasattr(entity, "__dict__")
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(entity, f.name, getattr(entity, f.name))
+    # the parser fills slots without __init__; the result is the same value
+    twin = cls(**{f.name: getattr(entity, f.name) for f in fields(cls)})
+    assert twin is not entity
+    assert twin == entity and hash(twin) == hash(entity)
+
+
+def test_parsed_entities_equal_the_ones_built_through_init(generated_corpus):
+    parsed = loads_corpus(dumps_corpus(generated_corpus))
+    assert parsed == generated_corpus
+    built, read = list(entities(generated_corpus)), list(entities(parsed))
+    assert {type(e) for e in read} == set(ENTITY_CLASSES)
+    assert read == built
+    assert list(map(hash, read)) == list(map(hash, built))
+
+
+# --------------------------------------------------------------------------
 # Structural parse errors
 
 
@@ -224,6 +277,58 @@ def test_top_level_must_be_object():
             "step_defs[1].step_class: expected one of ['PY', 'AD', 'ASHA', 'SHA', 'CS'], got 'XX'",
         ),
         (lambda d: d["shots"].append(7), "shots[2]: expected object, got int"),
+        # a wrong-typed value in an object that holds every field
+        (
+            lambda d: d["shots"][0]["occurrences"][0].update(reflexion=["happy"]),
+            "shots[0].occurrences[0].reflexion: expected string, got list",
+        ),
+        (
+            lambda d: d["backgrounds"][0].update(description=None),
+            "backgrounds[0].description: expected string, got NoneType",
+        ),
+        (lambda d: d["dancers"][1].update(age=31.0), "dancers[1].age: expected integer, got float"),
+        (
+            lambda d: d["shots"][0].update(life_span=[0, 1000]),
+            "shots[0].life_span: expected object, got list",
+        ),
+        # a wrong-typed value in an object that omits an optional field
+        (
+            lambda d: d["shots"][1]["occurrences"][0].update(step_def_id=1),
+            "shots[1].occurrences[0].step_def_id: expected string, got int",
+        ),
+        (
+            lambda d: (
+                d["backgrounds"][0].pop("location_existence"),
+                d["backgrounds"][0].update(location=[]),
+            ),
+            "backgrounds[0].location: expected string, got list",
+        ),
+        # a non-string inside a string array
+        (
+            lambda d: d["shots"][1].update(dancer_ids=["d1", None]),
+            "shots[1].dancer_ids[1]: expected string, got NoneType",
+        ),
+        (
+            lambda d: d["scenes"][0].update(shot_ids=["h1", "h2", {"id": "h3"}]),
+            "scenes[0].shot_ids[2]: expected string, got dict",
+        ),
+        (
+            lambda d: d["scenes"][0]["costume_map"][0].update(values=["c1", ["c2"]]),
+            "scenes[0].costume_map[0].values[1]: expected string, got list",
+        ),
+        (
+            lambda d: d["scenes"][0]["costume_map"][0].update(values="c1"),
+            "scenes[0].costume_map[0].values: expected array, got str",
+        ),
+        # a non-string in a fixed vocabulary
+        (
+            lambda d: d["step_defs"][0].update(step_class=1),
+            "step_defs[0].step_class: expected string, got int",
+        ),
+        (
+            lambda d: d["scenes"][0].update(component=None),
+            "scenes[0].component: expected string, got NoneType",
+        ),
     ],
 )
 def test_malformed_documents_are_rejected(mutate, fragment):
