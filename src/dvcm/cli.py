@@ -8,7 +8,9 @@
     dvcm eval [--fixture f1]                   score the fixture queries
 
 Exit codes: 0 success, 1 usage or query error, 2 data or integrity error,
-3 benchmark mismatch between engines.
+3 benchmark mismatch between engines. ``dvcm query`` parses the query text
+before it reads any file, so a malformed query exits 1 even when the corpus
+or the index is bad as well.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    corpus = load_corpus(args.corpus)
     query = parse_query(args.text)
+    corpus = load_corpus(args.corpus)
     if args.index is not None:
         engine = IndexedEngine(corpus, load_index(args.index, corpus))
     else:

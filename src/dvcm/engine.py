@@ -1,10 +1,17 @@
 """Query execution over a corpus: sequential scan and inverted-file engines.
 
 Both engines implement the same semantics and must return identical results
-for every query; the benchmark enforces this per query. Containment bodies
-evaluate to shot-ID sets bottom-up ("and" intersects, "or" unions) and the
-result is lifted to the requested granularity at the end. Scene-valued
-facets (background, costume) contribute the shots of their matching scenes.
+for every query; the benchmark enforces this per query. Bodies evaluate to
+sets of shots bottom-up ("and" intersects, "or" unions) and the result is
+lifted to the requested granularity at the end. Scene-valued facets
+(background, costume) contribute the shots of their matching scenes.
+
+The sequential engine walks the corpus objects and keys shots by ID. The
+indexed engine works on the ordinals of the index (see ``index``): its shot
+sets hold shot ordinals, posting lists map to shots and scenes through the
+one-array maps with C-level ``map``, and ``&`` / ``|`` run on int sets.
+Ordinals become IDs once, when the result is lifted; ``shots_for_body``
+still returns shot IDs on both engines.
 
 Atom semantics:
 
@@ -28,16 +35,21 @@ not shots where two different dancers split the conditions between them.
 Both engines apply the same pairing rule, the indexed one by intersecting
 posting lists before resolving occurrences to shots.
 
-Temporal and spatial bodies are evaluated by shared per-scene / per-shot
-logic; the indexed engine uses the dancer file to skip scenes in which the
+Temporal bodies are evaluated by shared per-scene logic (``temporal``);
+the indexed engine uses the dancer file to skip scenes in which the
 relation cannot hold. Result shots of a temporal relation are every shot
-mentioned by a witness.
+mentioned by a witness. Spatial bodies match stored triplets: the scan
+reads every shot's triplets, the indexed engine reads the spatial file.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import partial
+from itertools import chain, repeat
+
 from .index import IndexSet, build_index
-from .model import Corpus, expand_scenes_to_shots, lift_granularity
+from .model import Corpus, Granularity, expand_scenes_to_shots, lift_granularity
 from .normalize import (
     expand_reflexion,
     load_synonym_table,
@@ -62,6 +74,20 @@ from .temporal import (
 
 # Facets that may pair with dancer= at the occurrence level.
 PAIRABLE_FACETS = frozenset({"step", "step_class", "posture", "reflexion"})
+
+# The index file of each facet: occurrence ordinals, or scene ordinals for
+# background and costume.
+_FILE_OF_FACET = {
+    "dancer": "dancers",
+    "step": "steps",
+    "step_class": "step_classes",
+    "body_part": "body_parts",
+    "posture": "postures",
+    "reflexion": "reflexions",
+    "instrument": "instruments",
+    "background": "backgrounds",
+    "costume": "costumes",
+}
 
 
 class UnknownNameError(ValueError):
@@ -97,13 +123,25 @@ class _EngineBase:
 
     def execute(self, query: Query) -> list[str]:
         """Run a parsed query; result IDs sorted at the query's granularity."""
-        shots = self.shots_for_body(query.body)
-        return lift_granularity(self.corpus, shots, query.granularity)
+        return self._lift(self._eval_body(query.body), query.granularity)
 
     def execute_text(self, text: str) -> list[str]:
         return self.execute(parse_query(text))
 
     def shots_for_body(self, body) -> set[str]:
+        """The IDs of the shots a query body matches."""
+        return self._shot_ids(self._eval_body(body))
+
+    # An engine evaluates bodies to sets of its own shot keys: shot IDs
+    # here, ordinals in the indexed engine. These two turn them into IDs.
+
+    def _shot_ids(self, shots) -> set[str]:
+        return shots
+
+    def _lift(self, shots, granularity: Granularity) -> list[str]:
+        return lift_granularity(self.corpus, shots, granularity)
+
+    def _eval_body(self, body) -> set:
         if isinstance(body, (FacetAtom, And, Or)):
             return self._eval_node(body)
         if isinstance(body, TemporalRel):
@@ -111,12 +149,12 @@ class _EngineBase:
         if isinstance(body, SpatialRel):
             return self._eval_spatial(body)
         if isinstance(body, SpatioTemporal):
-            return self.shots_for_body(body.first) & self.shots_for_body(body.second)
+            return self._eval_body(body.first) & self._eval_body(body.second)
         raise TypeError(f"not a query body: {body!r}")
 
     # -- containment --------------------------------------------------------
 
-    def _eval_node(self, node) -> set[str]:
+    def _eval_node(self, node) -> set:
         if isinstance(node, FacetAtom):
             return self._facet_shots(node.facet, node.value)
         if isinstance(node, And):
@@ -129,10 +167,10 @@ class _EngineBase:
             return self._eval_node(node.left) | self._eval_node(node.right)
         raise TypeError(f"not a containment node: {node!r}")
 
-    def _facet_shots(self, facet: str, value: str) -> set[str]:
+    def _facet_shots(self, facet: str, value: str) -> set:
         raise NotImplementedError
 
-    def _paired_shots(self, dancer_value: str, facet: str, value: str) -> set[str]:
+    def _paired_shots(self, dancer_value: str, facet: str, value: str) -> set:
         raise NotImplementedError
 
     # -- temporal / spatial ---------------------------------------------------
@@ -181,30 +219,8 @@ class _EngineBase:
                         out |= w.shot_ids()
         return out
 
-    def _eval_spatial(self, rel: SpatialRel) -> set[str]:
-        """Shots holding a stored triplet (a, relation, b).
-
-        Triplets are directional and matched as annotated; no converse is
-        inferred. performing=true further requires both dancers to have an
-        occurrence in the shot.
-        """
-        ids_a = set(self._resolve_dancer_name(rel.dancer_a))
-        ids_b = set(self._resolve_dancer_name(rel.dancer_b))
-        out: set[str] = set()
-        for shot in self.corpus.shots.values():
-            for trip in shot.spatial_triplets:
-                if trip.relation != rel.relation:
-                    continue
-                if trip.dancer1 not in ids_a or trip.dancer2 not in ids_b:
-                    continue
-                if rel.performing and (
-                    shot.occurrence_of(trip.dancer1) is None
-                    or shot.occurrence_of(trip.dancer2) is None
-                ):
-                    continue
-                out.add(shot.id)
-                break
-        return out
+    def _eval_spatial(self, rel: SpatialRel) -> set:
+        raise NotImplementedError
 
 
 def _pairable(node: And) -> tuple[str, str, str] | None:
@@ -279,12 +295,38 @@ class SequentialScanEngine(_EngineBase):
                     break
         return out
 
+    def _eval_spatial(self, rel: SpatialRel) -> set[str]:
+        """Shots holding a stored triplet (a, relation, b).
+
+        Triplets are directional and matched as annotated; no converse is
+        inferred. performing=true further requires both dancers to have an
+        occurrence in the shot.
+        """
+        ids_a = set(self._resolve_dancer_name(rel.dancer_a))
+        ids_b = set(self._resolve_dancer_name(rel.dancer_b))
+        out: set[str] = set()
+        for shot in self.corpus.shots.values():
+            for trip in shot.spatial_triplets:
+                if trip.relation != rel.relation:
+                    continue
+                if trip.dancer1 not in ids_a or trip.dancer2 not in ids_b:
+                    continue
+                if rel.performing and (
+                    shot.occurrence_of(trip.dancer1) is None
+                    or shot.occurrence_of(trip.dancer2) is None
+                ):
+                    continue
+                out.add(shot.id)
+                break
+        return out
+
 
 class IndexedEngine(_EngineBase):
-    """Engine backed by the eight inverted files.
+    """Engine backed by the inverted files, working on shot ordinals.
 
     Accepts a prebuilt index set (it must carry the corpus's fingerprint)
-    or builds one from the corpus.
+    or builds one from the corpus. Bodies evaluate to sets of shot
+    ordinals; their IDs are looked up once, when the result is lifted.
     """
 
     def __init__(
@@ -299,59 +341,67 @@ class IndexedEngine(_EngineBase):
         else:
             index.check_corpus(corpus)
         self.index = index
-        # dancer name -> scenes holding an occurrence of it, filled on first use
-        self._scenes_by_dancer: dict[str, frozenset[str]] = {}
+        # scene ordinal -> its shot ordinals, the inverse of scene_of_shot
+        self._shots_of_scene: list[list[int]] = [[] for _ in index.scenes]
+        for shot, scene in enumerate(index.scene_of_shot):
+            self._shots_of_scene[scene].append(shot)
+        # dancer name -> ordinals of the scenes holding an occurrence of it,
+        # filled on first use
+        self._scenes_by_dancer: dict[str, frozenset[int]] = {}
 
-    def _occ_postings(self, facet: str, value: str) -> set[str]:
-        """Occurrence IDs matching one occurrence-valued facet."""
+    def _shot_ids(self, shots: set[int]) -> set[str]:
+        return set(map(self.index.shots.__getitem__, shots))
+
+    def _lift(self, shots: set[int], granularity: Granularity) -> list[str]:
         ix = self.index
-        if facet == "dancer":
-            return set(ix.dancers.get(value, ()))
-        if facet == "posture":
-            return set(ix.postures.get(value, ()))
+        if granularity is Granularity.SHOT:
+            ids, ordinals = ix.shots, shots
+        elif granularity is Granularity.SCENE:
+            ids, ordinals = ix.scenes, set(map(ix.scene_of_shot.__getitem__, shots))
+        elif granularity is Granularity.COMPOUND_SCENE:
+            scenes = set(map(ix.scene_of_shot.__getitem__, shots))
+            ids = ix.compound_scenes
+            ordinals = set(map(ix.compound_scene_of_scene.__getitem__, scenes))
+        else:
+            raise ValueError(f"unsupported granularity: {granularity!r}")
+        # ID tables are sorted, so ascending ordinals give ascending IDs
+        return list(map(ids.__getitem__, sorted(ordinals)))
+
+    def _postings(self, facet: str, value: str):
+        """Ordinals posted under a facet term: occurrences, or scenes for
+        background and costume."""
+        try:
+            table = getattr(self.index, _FILE_OF_FACET[facet])
+        except KeyError:
+            raise ValueError(f"unknown facet: {facet!r}") from None
         if facet == "reflexion":
-            out: set[str] = set()
-            for key in expand_reflexion(value, self.synonyms):
-                out.update(ix.reflexions.get(key, ()))
-            return out
-        if facet == "instrument":
-            return set(ix.instruments.get(value, ()))
+            keys = expand_reflexion(value, self.synonyms)
+            return chain.from_iterable(map(table.get, keys, repeat(())))
         if facet == "body_part":
-            return set(ix.body_parts.get(normalize_body_part(value), ()))
-        if facet in ("step", "step_class"):
-            # resolved through the step catalog plus each definition's
-            # occurrence record rather than a per-term posting file
-            table = self._step_ids_by_name if facet == "step" else self._step_ids_by_class
-            out = set()
-            for step_id in table.get(value, ()):
-                out.update(self.corpus.occ_ids_for_step_def(step_id))
-            return out
-        raise ValueError(f"unknown facet: {facet!r}")
+            value = normalize_body_part(value)
+        return table.get(value, ())
 
-    def _facet_shots(self, facet: str, value: str) -> set[str]:
-        if facet == "background":
-            return expand_scenes_to_shots(
-                self.corpus, set(self.index.backgrounds.get(value, ()))
-            )
-        if facet == "costume":
-            return expand_scenes_to_shots(
-                self.corpus, set(self.index.costumes.get(value, ()))
-            )
-        return self.index.shots_of_occurrences(self._occ_postings(facet, value))
+    def _facet_shots(self, facet: str, value: str) -> set[int]:
+        postings = self._postings(facet, value)
+        if facet in ("background", "costume"):
+            return set(chain.from_iterable(map(self._shots_of_scene.__getitem__, postings)))
+        return set(map(self.index.shot_of_occurrence.__getitem__, postings))
 
-    def _paired_shots(self, dancer_value: str, facet: str, value: str) -> set[str]:
+    def _paired_shots(self, dancer_value: str, facet: str, value: str) -> set[int]:
         # every occurrence left satisfies both halves, so each of its shots
         # holds one occurrence pairing the dancer with the other term
-        occs = self._occ_postings("dancer", dancer_value) & self._occ_postings(facet, value)
-        return self.index.shots_of_occurrences(occs)
+        occurrences = set(self._postings("dancer", dancer_value))
+        occurrences.intersection_update(self._postings(facet, value))
+        return set(map(self.index.shot_of_occurrence.__getitem__, occurrences))
 
-    def _scenes_of_dancer(self, name: str) -> frozenset[str]:
-        scene_ids = self._scenes_by_dancer.get(name)
-        if scene_ids is None:
-            shots = self.index.shots_of_occurrences(self.index.dancers.get(name, ()))
-            scene_ids = frozenset({self.corpus.shots[sid].scene_id for sid in shots})
-            self._scenes_by_dancer[name] = scene_ids
-        return scene_ids
+    def _scenes_of_dancer(self, name: str) -> frozenset[int]:
+        scenes = self._scenes_by_dancer.get(name)
+        if scenes is None:
+            ix = self.index
+            shots = map(ix.shot_of_occurrence.__getitem__, ix.dancers.get(name, ()))
+            scenes = frozenset(map(ix.scene_of_shot.__getitem__, shots))
+            self._scenes_by_dancer[name] = scenes
+        return scenes
 
     def _temporal_scene_ids(self, rel):
         """Skip scenes where the relation cannot hold.
@@ -363,7 +413,25 @@ class IndexedEngine(_EngineBase):
         Scenes are visited in ID order, the order dvcm writes and so loads
         them in, which evaluates faster than set order.
         """
-        scene_ids = self._scenes_of_dancer(rel.dancer_b)
+        scenes = self._scenes_of_dancer(rel.dancer_b)
         if rel.relation != "observes":
-            scene_ids &= self._scenes_of_dancer(rel.dancer_a)
-        return sorted(scene_ids)
+            scenes &= self._scenes_of_dancer(rel.dancer_a)
+        return map(self.index.scenes.__getitem__, sorted(scenes))
+
+    def _eval_temporal(self, rel: TemporalRel) -> set[int]:
+        # witnesses name shots by ID; the ID table is sorted, so a binary
+        # search finds each ordinal
+        return set(map(partial(bisect_left, self.index.shots), super()._eval_temporal(rel)))
+
+    def _eval_spatial(self, rel: SpatialRel) -> set[int]:
+        """The shots posted under (relation, a, b) in the spatial file."""
+        ids_a = self._resolve_dancer_name(rel.dancer_a)
+        ids_b = self._resolve_dancer_name(rel.dancer_b)
+        ix = self.index
+        by_first = (ix.spatial_performing if rel.performing else ix.spatial).get(rel.relation, {})
+        out: set[int] = set()
+        for id_a in ids_a:
+            by_second = by_first.get(id_a, {})
+            for id_b in ids_b:
+                out.update(by_second.get(id_b, ()))
+        return out

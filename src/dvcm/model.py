@@ -243,7 +243,7 @@ class Corpus:
     fingerprint is set by ``load_corpus`` from the file's bytes, or cached
     on first use. Both are excluded from equality so that structural
     equality is defined purely by the annotated data. The occurrence-to-shot
-    map lives in the index (``IndexSet.occurrence_shots``).
+    map lives in the index (``IndexSet.shot_of_occurrence``).
     """
 
     videos: dict[str, Video] = field(default_factory=dict)
@@ -293,7 +293,11 @@ class Corpus:
             raise UnknownIdError(f"unknown scene ID: {scene_id!r}") from None
 
     def occ_ids_for_step_def(self, step_def_id: str) -> tuple[str, ...]:
-        """Occurrence IDs of a step definition, read off its usage record."""
+        """Occurrence IDs of a step definition, read off its usage record.
+
+        Kept for the benchmark's trace counts (``perfbench/layers.py``);
+        the indexed engine reads the index's step files instead.
+        """
         return self._occs_by_step_def.get(step_def_id, ())
 
     def scene_of_shot(self, shot_id: str) -> Scene:

@@ -313,6 +313,12 @@ def occurrence_ids(corpus: Corpus) -> tuple[str, ...]:
     )
 
 
+def occurrences_by_ordinal(corpus: Corpus) -> list:
+    """Every occurrence, in the order of the index's occurrence ordinals:
+    shots by ID, then each shot's own order."""
+    return [occ for shot_id in sorted(corpus.shots) for occ in corpus.shots[shot_id].occurrences]
+
+
 # --------------------------------------------------------------------------
 # Song grammar oracle: regular expressions over single-letter encodings.
 

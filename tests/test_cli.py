@@ -148,8 +148,7 @@ def test_gen_and_index_bytes_are_pinned(tmp_path):
     # The corpus digest is that of the file the hand-written corpus codec,
     # which the table-driven one replaced, wrote. The index embeds the
     # corpus fingerprint, so its digest pins the fingerprint too; it is the
-    # format 3 file, which differs from format 2 only in the "format" and
-    # "fingerprint" values.
+    # format 4 file, with ordinal posting lists.
     corpus_path = tmp_path / "g.json"
     index_path = tmp_path / "g.index.json"
     gen_args = ["gen", "--shots", "120", "--dancers", "5", "--seed", "42"]
@@ -159,7 +158,7 @@ def test_gen_and_index_bytes_are_pinned(tmp_path):
         "d187f5b2b92b5f454d4a4b7e032153ba464c2de7e57e85ee101ffd4a5038848e"
     )
     assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-        "abb45e41086cc8ba62ca600fc89b050dfd6ae56c2a858f5218b40994efb9a4b8"
+        "1924861968a9ec9d02c8304e7ba6e2d3bd67c74f62ad9c225c38f7766d4b57f8"
     )
     index_doc = json.loads(index_path.read_text(encoding="utf-8"))
     assert index_doc["fingerprint"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
@@ -201,6 +200,21 @@ def test_query_parse_error(capsys, f1_path):
     assert err.startswith("query error: line 1, col 6")
 
 
+@pytest.mark.parametrize("corpus", ["missing", "corrupt"])
+def test_query_error_wins_over_a_bad_corpus(capsys, monkeypatch, tmp_path, corpus):
+    # the query is parsed before any file is read
+    path = tmp_path / "corpus.json"
+    if corpus == "corrupt":
+        path.write_text("{nope", encoding="utf-8")
+    loads = []
+    monkeypatch.setattr(dvcm.cli, "load_corpus", lambda path: loads.append(path))
+    code, out, err = run_cli(
+        capsys, "query", str(path), "find nothing anywhere", "--index", str(path)
+    )
+    assert code == 1 and out == "" and loads == []
+    assert err.startswith("query error: line 1, col 6") and err.count("\n") == 1
+
+
 def test_query_unknown_dancer_name(capsys, f1_path):
     code, out, err = run_cli(
         capsys, "query", f1_path,
@@ -237,7 +251,7 @@ def test_index_without_format_exits_2(capsys, tmp_path, f1_path):
         "--index", str(index_path),
     )
     assert code == 2
-    assert err == "error: index format is missing, expected 3; rebuild the index\n"
+    assert err == "error: index format is missing, expected 4; rebuild the index\n"
 
 
 def test_index_that_is_not_utf8_exits_2(capsys, tmp_path, f1_path):
@@ -318,37 +332,94 @@ def test_crlf_corpus_loads_and_its_index_answers_like_the_scan(capsys, tmp_path,
         assert code == 0 and indexed == scanned and scanned
 
 
+def _edited_index_query(capsys, tmp_path, f1_path, edit):
+    """Query f1 for Anitha through an index file that ``edit`` changed."""
+    index_path = tmp_path / "f1.index.json"
+    assert main(["index", f1_path, "-o", str(index_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(index_path.read_text(encoding="utf-8"))
+    edit(doc)
+    index_path.write_text(json.dumps(doc), encoding="utf-8")
+    return run_cli(
+        capsys, "query", f1_path, 'find shots where dancer = "Anitha"',
+        "--index", str(index_path),
+    )
+
+
 @pytest.mark.parametrize("empty_shot_entry", [True, False])
 def test_truncated_posting_file_exits_2_with_one_line(
     capsys, tmp_path, f1_path, empty_shot_entry
 ):
     # The dancer file cut to one occurrence, with or without that
     # occurrence's shot entry emptied: the scan finds six shots for Anitha.
-    index_path = tmp_path / "f1.index.json"
-    assert main(["index", f1_path, "-o", str(index_path)]) == 0
-    capsys.readouterr()
-    doc = json.loads(index_path.read_text(encoding="utf-8"))
-    postings = doc["files"]["dancers"]["anitha"]
-    first = postings[0]
-    doc["files"]["dancers"]["anitha"] = [first]
-    if empty_shot_entry:
-        doc["files"]["occurrence_shots"][first] = []
-    index_path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run_cli(
-        capsys, "query", f1_path, 'find shots where dancer = "Anitha"',
-        "--index", str(index_path),
-    )
+    seen = {}
+
+    def truncate(doc):
+        postings = doc["files"]["dancers"]["anitha"]
+        seen.update(occurrences=len(doc["files"]["shot_of_occurrence"]), cut=len(postings) - 1)
+        doc["files"]["dancers"]["anitha"] = postings[:1]
+        if empty_shot_entry:
+            doc["files"]["shot_of_occurrence"][postings[0]] = []
+
+    code, out, err = _edited_index_query(capsys, tmp_path, f1_path, truncate)
     assert code == 2 and out == ""
     if empty_shot_entry:
         assert err == (
-            f"error: files.occurrence_shots[{first!r}] must hold exactly one shot ID\n"
+            "error: files.shot_of_occurrence must hold integer ordinals into files.shots, "
+            "from 0 to 8\n"
         )
     else:
-        occurrences = len(doc["files"]["occurrence_shots"])
+        occurrences = seen["occurrences"]
         assert err == (
-            f"error: index files.dancers posts {occurrences - len(postings) + 1} "
+            f"error: index files.dancers posts {occurrences - seen['cut']} "
             f"occurrence(s), the corpus has {occurrences}; rebuild the index\n"
         )
+
+
+# f1 has 12 occurrences, 9 shots and 2 scenes.
+_BAD_ORDINALS = [
+    ("dancers", True, "files.dancers must hold integer ordinals into "
+     "files.shot_of_occurrence, from 0 to 11"),
+    ("dancers", 1.0, "files.dancers must hold integer ordinals into "
+     "files.shot_of_occurrence, from 0 to 11"),
+    ("dancers", -1, "files.dancers must hold integer ordinals into "
+     "files.shot_of_occurrence, from 0 to 11"),
+    ("dancers", 12, "files.dancers must hold integer ordinals into "
+     "files.shot_of_occurrence, from 0 to 11"),
+    ("shot_of_occurrence", 9, "files.shot_of_occurrence must hold integer ordinals into "
+     "files.shots, from 0 to 8"),
+    ("scene_of_shot", True, "files.scene_of_shot must hold integer ordinals into "
+     "files.scenes, from 0 to 1"),
+    ("backgrounds", 2, "files.backgrounds must hold integer ordinals into "
+     "files.scenes, from 0 to 1"),
+    ("spatial", -1, "files.spatial must hold integer ordinals into files.shots, from 0 to 8"),
+]
+
+
+@pytest.mark.parametrize("name, bad, message", _BAD_ORDINALS)
+def test_bad_ordinal_exits_2_with_one_line(capsys, tmp_path, f1_path, name, bad, message):
+    def corrupt(doc):
+        table = doc["files"][name]
+        if name == "dancers":
+            table["anitha"][-1] = bad
+        elif name == "backgrounds":
+            table["temple"][0] = bad
+        elif name == "spatial":
+            table["near"]["da2"]["da1"][0] = bad
+        else:
+            table[0] = bad
+
+    code, out, err = _edited_index_query(capsys, tmp_path, f1_path, corrupt)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_format_3_index_exits_2_with_rebuild(capsys, tmp_path, f1_path):
+    code, out, err = _edited_index_query(
+        capsys, tmp_path, f1_path, lambda doc: doc.update(format=3)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: index format is 3, expected 4; rebuild the index\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])

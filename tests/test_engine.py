@@ -1,25 +1,37 @@
 """Query engines: frozen fixture results, pairing semantics, equivalence."""
 
+import contextlib
+import dataclasses
+import io
+import json
+import tempfile
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from corpus_kit import doc_to_corpus, small_doc
 from dvcm.bench import collect_vocabulary, random_containment_query
+from dvcm import cli
 from dvcm.engine import (
     PAIRABLE_FACETS,
     IndexedEngine,
     SequentialScanEngine,
     UnknownNameError,
 )
-from dvcm.generator import CounterRng
-from dvcm.index import IndexSet
-from dvcm.model import Granularity
+from dvcm.generator import CounterRng, GenParams, generate_corpus
+from dvcm.index import build_index
+from dvcm.model import SPATIAL_RELATIONS, Granularity, save_corpus
 from dvcm.normalize import normalize_key
 from dvcm.qlang import (
     And,
     FacetAtom,
     Or,
+    STEP_CLASS_TERMS,
     Query,
+    SpatialRel,
     SpatioTemporal,
+    TemporalRel,
     format_query,
     parse_query,
 )
@@ -302,17 +314,130 @@ def test_engines_agree_on_random_workload(medium_corpus):
         assert sequential.execute(query) == indexed.execute(query), format_query(query)
 
 
-def test_temporal_pruning_resolves_each_dancer_once(medium_corpus, monkeypatch):
+@st.composite
+def _whole_language_cases(draw):
+    """A small generated corpus and queries over the whole language.
+
+    Each case holds one temporal query per relation, with a drawn step=,
+    step_class= or no constraint; one spatial query per relation and
+    performing value; spatio-temporal conjunctions in both orders; and
+    containment queries, each at a drawn granularity. Some corpora give
+    two dancers one normalized name, so a name stands for several IDs.
+    """
+    weights = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(any))
+    corpus = generate_corpus(
+        GenParams(
+            n_shots=draw(st.integers(1, 40)),
+            n_dancers=draw(st.integers(2, 5)),
+            n_step_defs=draw(st.integers(1, 6)),
+            song_type_weights=tuple(weights),
+            shots_per_scene_range=draw(st.sampled_from([(1, 1), (1, 3), (2, 8), (6, 12)])),
+            seed=draw(st.integers(0, 2**16)),
+        )
+    )
+    if len(corpus.dancers) >= 3 and draw(st.booleans()):
+        first, second = sorted(corpus.dancers)[:2]
+        dancers = dict(corpus.dancers)
+        twin = f"  {dancers[first].name.upper()} "
+        dancers[second] = dataclasses.replace(dancers[second], name=twin)
+        corpus = dataclasses.replace(corpus, dancers=dancers)
+    # a relation call names two different dancers
+    pairs = st.lists(
+        st.sampled_from(sorted({normalize_key(d.name) for d in corpus.dancers.values()})),
+        min_size=2,
+        max_size=2,
+        unique=True,
+    )
+    steps = sorted({normalize_key(sd.name) for sd in corpus.step_defs.values()})
+    granularities = st.sampled_from(list(Granularity))
+
+    def temporal(relation):
+        constraint = draw(st.sampled_from(["none", "step", "step_class"]))
+        return TemporalRel(
+            relation,
+            *draw(pairs),
+            step=draw(st.sampled_from(steps)) if constraint == "step" else None,
+            step_class=draw(st.sampled_from(STEP_CLASS_TERMS))
+            if constraint == "step_class"
+            else None,
+        )
+
+    name_of = {d.id: normalize_key(d.name) for d in corpus.dancers.values()}
+    stored = {}
+    for shot in corpus.shots.values():
+        for trip in shot.spatial_triplets:
+            pair = [name_of[trip.dancer1], name_of[trip.dancer2]]
+            if pair[0] != pair[1]:
+                stored.setdefault(trip.relation, []).append(pair)
+
+    def spatial(relation, performing):
+        # most relations hold nowhere for a random pair; half the calls
+        # name the dancers of a stored triplet
+        if relation in stored and draw(st.booleans()):
+            return SpatialRel(relation, *draw(st.sampled_from(stored[relation])), performing)
+        return SpatialRel(relation, *draw(pairs), performing)
+
+    bodies = [temporal(r) for r in (*DANCER_RELATIONS, *ALLEN_RELATIONS)]
+    bodies += [spatial(r, p) for r in sorted(SPATIAL_RELATIONS) for p in (False, True)]
+    for _ in range(2):
+        pair = [
+            temporal(draw(st.sampled_from((*DANCER_RELATIONS, *ALLEN_RELATIONS)))),
+            spatial(draw(st.sampled_from(sorted(SPATIAL_RELATIONS))), draw(st.booleans())),
+        ]
+        if draw(st.booleans()):
+            pair.reverse()
+        bodies.append(SpatioTemporal(*pair))
+    rng = CounterRng(draw(st.integers(0, 2**16)), "whole-language")
+    vocabulary = collect_vocabulary(corpus)
+    bodies += [random_containment_query(vocabulary, rng).body for _ in range(3)]
+    return corpus, [Query(draw(granularities), body) for body in bodies]
+
+
+def _cli(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_whole_language_cases())
+def test_engines_and_cli_agree_on_the_whole_language(case):
+    corpus, queries = case
+    sequential = SequentialScanEngine(corpus)
+    indexed = IndexedEngine(corpus)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path, index_path = f"{tmp}/corpus.json", f"{tmp}/corpus.index.json"
+        save_corpus(corpus, corpus_path)
+        assert _cli("index", corpus_path, "-o", index_path)[0] == 0
+        for query in queries:
+            text = format_query(query)
+            assert parse_query(text) == query, text
+            expected = sequential.execute(query)
+            assert indexed.execute(query) == expected, text
+            assert indexed.shots_for_body(query.body) == sequential.shots_for_body(query.body)
+            code, out = _cli("query", corpus_path, text, "--index", index_path, "--format", "json")
+            assert code == 0 and json.loads(out)["ids"] == expected, text
+
+
+class _CountingGets(dict):
+    """A posting file that records every key looked up with ``get``."""
+
+    def __init__(self, table, gets):
+        super().__init__(table)
+        self.gets = gets
+
+    def get(self, key, default=None):
+        self.gets.append(key)
+        return super().get(key, default)
+
+
+def test_temporal_pruning_resolves_each_dancer_once(medium_corpus):
     resolved = []
-    resolve = IndexSet.shots_of_occurrences
-
-    def counting(index, occ_ids):
-        resolved.append(occ_ids)
-        return resolve(index, occ_ids)
-
-    monkeypatch.setattr(IndexSet, "shots_of_occurrences", counting)
+    index = build_index(medium_corpus)
+    counting = dataclasses.replace(index, dancers=_CountingGets(index.dancers, resolved))
     sequential = SequentialScanEngine(medium_corpus)
-    indexed = IndexedEngine(medium_corpus)
+    indexed = IndexedEngine(medium_corpus, counting)
     names = sorted({normalize_key(d.name) for d in medium_corpus.dancers.values()})
     pairs = list(zip(names, names[1:] + names[:1]))
     for relation in (*DANCER_RELATIONS, *ALLEN_RELATIONS):
@@ -320,7 +445,7 @@ def test_temporal_pruning_resolves_each_dancer_once(medium_corpus, monkeypatch):
             body = parse_query(f'find shots where {relation}(dancer = "{a}", dancer = "{b}")').body
             assert indexed.shots_for_body(body) == sequential.shots_for_body(body), relation
     # one resolution per dancer, made by the first query that names it
-    assert len(resolved) == len(names)
+    assert sorted(resolved) == names
 
 
 def test_or_is_union_and_is_intersection(medium_corpus):

@@ -4,10 +4,17 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corpus_kit import corpus_documents, doc_to_corpus, empty_doc, occurrence_ids, small_doc, texts
+from corpus_kit import (
+    corpus_documents,
+    doc_to_corpus,
+    empty_doc,
+    occurrences_by_ordinal,
+    small_doc,
+    texts,
+)
 from dvcm.engine import IndexedEngine
 from dvcm.index import (
     IndexMismatchError,
@@ -20,6 +27,7 @@ from dvcm.index import (
 )
 from dvcm.index import IndexFormatError
 from dvcm.model import corpus_fingerprint
+from dvcm.normalize import normalize_key
 
 
 @pytest.fixture(scope="module")
@@ -44,36 +52,87 @@ def test_body_part_postings_drop_sides(f1_index):
 
 
 def test_scene_level_postings(f1_index):
-    assert f1_index.backgrounds == {"temple": ("sc1", "sc2")}
+    assert f1_index.scenes == ("sc1", "sc2")
+    assert f1_index.backgrounds == {"temple": (0, 1)}
     assert set(f1_index.costumes) == {"red silk", "blue cotton"}
-    assert f1_index.costumes["red silk"] == ("sc1", "sc2")
+    assert f1_index.costumes["red silk"] == (0, 1)
 
 
 def test_occurrence_shot_postings(f1, f1_index):
-    assert f1_index.occurrence_shots["sh2-da1"] == ("sh2",)
-    assert set(f1_index.occurrence_shots) == set(occurrence_ids(f1))
+    # occurrence ordinals follow shot order, then each shot's own order
+    occurrences = occurrences_by_ordinal(f1)
+    assert [f1_index.shots[s] for s in f1_index.shot_of_occurrence] == [
+        occ.shot_id for occ in occurrences
+    ]
+    assert occurrences[f1_index.shot_of_occurrence.index(1)].occ_id == "sh2-da1"
 
 
-def test_reflexion_and_instrument_postings(f1_index):
+def test_id_tables_and_ordinal_maps(f1, f1_index):
+    assert f1_index.shots == tuple(sorted(f1.shots))
+    assert f1_index.compound_scenes == ("cs1",)
+    assert [f1_index.scenes[s] for s in f1_index.scene_of_shot] == [
+        f1.shots[shot_id].scene_id for shot_id in f1_index.shots
+    ]
+    assert f1_index.compound_scene_of_scene == (0, 0)
+
+
+def test_reflexion_and_instrument_postings(f1, f1_index):
     assert set(f1_index.reflexions) == {"excited", "romantic", "joy", "sad"}
     assert set(f1_index.instruments) == {"veena", "mridangam"}
-    assert f1_index.instruments["veena"] == ("sh1-da1",)
+    occurrences = occurrences_by_ordinal(f1)
+    assert [occurrences[o].occ_id for o in f1_index.instruments["veena"]] == ["sh1-da1"]
+
+
+def test_step_postings(f1, f1_index):
+    occurrences = occurrences_by_ordinal(f1)
+    for name, key_of in (
+        ("steps", lambda sd: normalize_key(sd.name)),
+        ("step_classes", lambda sd: sd.step_class.casefold()),
+    ):
+        expected: dict[str, list[int]] = {}
+        for ordinal, occ in enumerate(occurrences):
+            expected.setdefault(key_of(f1.step_defs[occ.step_def_id]), []).append(ordinal)
+        assert getattr(f1_index, name) == {k: tuple(v) for k, v in expected.items()}
+
+
+def test_spatial_postings(f1, f1_index):
+    # the shots of each stored triplet; performing keeps those in which
+    # both dancers have an occurrence
+    expected: dict[bool, dict] = {False: {}, True: {}}
+    for ordinal, shot_id in enumerate(f1_index.shots):
+        shot = f1.shots[shot_id]
+        for trip in shot.spatial_triplets:
+            key = (trip.relation, trip.dancer1, trip.dancer2)
+            expected[False].setdefault(key, set()).add(ordinal)
+            if shot.occurrence_of(trip.dancer1) and shot.occurrence_of(trip.dancer2):
+                expected[True].setdefault(key, set()).add(ordinal)
+    for performing, table in ((False, f1_index.spatial), (True, f1_index.spatial_performing)):
+        got = {
+            (relation, first, second): set(shots)
+            for relation, by_first in table.items()
+            for first, by_second in by_first.items()
+            for second, shots in by_second.items()
+        }
+        assert got == expected[performing]
+    assert f1_index.spatial["near"] == {"da2": {"da1": (6,)}}
+    assert "behind" not in f1_index.spatial_performing
+
+
+def _posting_lists(index):
+    for f in dataclasses.fields(index):
+        depth = f.metadata.get("depth", 0)
+        tables = [getattr(index, f.name)] if depth else []
+        for _ in range(depth):
+            tables = [item for table in tables for item in table.values()]
+        yield from tables
 
 
 def test_postings_are_sorted_tuples(f1_index):
-    for table in (
-        f1_index.dancers,
-        f1_index.body_parts,
-        f1_index.postures,
-        f1_index.reflexions,
-        f1_index.instruments,
-        f1_index.backgrounds,
-        f1_index.costumes,
-        f1_index.occurrence_shots,
-    ):
-        for postings in table.values():
-            assert isinstance(postings, tuple)
-            assert list(postings) == sorted(postings)
+    lists = list(_posting_lists(f1_index))
+    assert len(lists) > 20
+    for postings in lists:
+        assert isinstance(postings, tuple) and postings
+        assert all(a < b for a, b in zip(postings, postings[1:]))
 
 
 def test_serialization_round_trip_and_determinism(f1, f1_index):
@@ -149,17 +208,48 @@ def test_format_error_on_non_object_table(f1_index):
         loads_index(json.dumps(doc))
 
 
-def test_format_error_on_bad_postings(f1_index):
+@pytest.mark.parametrize("bad", ["sh1-da1", True, 1.0, -1, 12, None, [0]])
+def test_format_error_on_bad_postings(f1_index, bad):
+    # f1 has 12 occurrences: ordinals 0 to 11
     doc = structured_index_doc(f1_index)
-    doc["files"]["dancers"]["anitha"] = ["sh1-da1", 7]
-    with pytest.raises(IndexFormatError, match="string"):
+    doc["files"]["dancers"]["anitha"] = [0, bad]
+    with pytest.raises(
+        IndexFormatError,
+        match=r"^files\.dancers must hold integer ordinals into files\.shot_of_occurrence, "
+        r"from 0 to 11$",
+    ):
         loads_index(json.dumps(doc))
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 2, "3"])
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("shots", ["sh2", "sh1"], "files.shots must be sorted and duplicate free"),
+        ("shots", ["sh1", "sh1"], "files.shots must be sorted and duplicate free"),
+        ("scenes", ["sc1", 2], "files.scenes must be a string array"),
+        ("scenes", {"sc1": []}, "files.scenes must be an array"),
+        ("scene_of_shot", [0, 1],
+         "files.scene_of_shot must hold one entry per entry of files.shots"),
+        ("compound_scene_of_scene", [0, 1], "files.compound_scene_of_scene must hold integer "
+         "ordinals into files.compound_scenes, from 0 to 0"),
+        ("postures", {"front": 3}, "files.postures['front'] must be an array"),
+        ("spatial", {"near": []}, "files.spatial['near'] must be an object"),
+        ("spatial", {"near": {"da2": {"da1": [9]}}},
+         "files.spatial must hold integer ordinals into files.shots, from 0 to 8"),
+    ],
+)
+def test_format_error_on_bad_tables(f1_index, name, value, message):
+    doc = structured_index_doc(f1_index)
+    doc["files"][name] = value
+    with pytest.raises(IndexFormatError) as err:
+        loads_index(json.dumps(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fmt", [None, 1, 2, 3, "4"])
 def test_other_or_missing_format_is_refused(f1_index, fmt):
     doc = structured_index_doc(f1_index)
-    assert doc["format"] == 3
+    assert doc["format"] == 4
     if fmt is None:
         del doc["format"]
     else:
@@ -168,20 +258,24 @@ def test_other_or_missing_format_is_refused(f1_index, fmt):
         loads_index(json.dumps(doc))
 
 
-@pytest.mark.parametrize("shots", [[], ["sh1", "sh2"]])
+@pytest.mark.parametrize("shots", [[], [1, 2]])
 def test_occurrence_must_map_to_exactly_one_shot(f1_index, shots):
     doc = structured_index_doc(f1_index)
-    doc["files"]["occurrence_shots"]["sh2-da1"] = shots
-    with pytest.raises(IndexFormatError, match=r"\['sh2-da1'\] must hold exactly one shot ID"):
+    doc["files"]["shot_of_occurrence"][2] = shots
+    with pytest.raises(IndexFormatError, match=r"^files\.shot_of_occurrence must hold integer"):
         loads_index(json.dumps(doc))
 
 
-@pytest.mark.parametrize("name", ["dancers", "postures", "reflexions", "occurrence_shots"])
+@pytest.mark.parametrize("name", ["dancers", "postures", "reflexions", "shot_of_occurrence"])
 def test_truncated_posting_file_is_refused(f1, f1_index, name):
-    # each occurrence posts exactly once in these files
-    table = dict(getattr(f1_index, name))
-    key = sorted(table)[0]
-    table[key] = table[key][:-1]
+    # each occurrence appears exactly once in these files
+    table = getattr(f1_index, name)
+    if isinstance(table, tuple):
+        table = table[:-1]
+    else:
+        table = dict(table)
+        key = sorted(table)[0]
+        table[key] = table[key][:-1]
     truncated = dataclasses.replace(f1_index, **{name: table})
     with pytest.raises(IndexMismatchError, match=rf"^index files\.{name} posts \d+ "):
         truncated.check_corpus(f1)
@@ -214,36 +308,64 @@ def test_index_writer_matches_the_json_encoder_on_built_indexes(doc):
     assert_index_text_matches_the_json_encoder(build_index(doc_to_corpus(doc)))
 
 
-_posting_files = st.dictionaries(texts, st.lists(texts, max_size=3).map(tuple), max_size=3)
+@st.composite
+def _index_sets(draw):
+    """Index sets whose every ordinal indexes its table, drawn file by file
+    in field order, as the loader checks them."""
+    ids = st.lists(texts, max_size=4, unique=True).map(lambda values: tuple(sorted(values)))
+    files: dict = {}
+    for f in dataclasses.fields(IndexSet)[1:]:
+        of, depth, length_of = (f.metadata[k] for k in ("of", "depth", "length_of"))
+        if of is None:
+            files[f.name] = draw(ids)
+            continue
+        size = len(files[of])
+        ordinals = st.integers(0, max(size - 1, 0))
+        if length_of is not None:
+            length = len(files[length_of])
+            assume(size or not length)
+            files[f.name] = tuple(draw(st.lists(ordinals, min_size=length, max_size=length)))
+            continue
+        item = st.lists(ordinals, max_size=min(size, 3), unique=True).map(
+            lambda v: tuple(sorted(v))
+        )
+        if depth == 0:
+            item = st.lists(ordinals, max_size=4 if size else 0).map(tuple)
+        for _ in range(depth):
+            item = st.dictionaries(texts, item, max_size=2)
+        files[f.name] = draw(item)
+    return IndexSet(draw(texts), **files)
 
-_index_sets = st.builds(
-    IndexSet,
-    fingerprint=texts,
-    **{
-        f.name: _posting_files
-        for f in dataclasses.fields(IndexSet)
-        if f.name not in ("fingerprint", "occurrence_shots")
-    },
-    occurrence_shots=st.dictionaries(texts, texts.map(lambda shot: (shot,)), max_size=3),
+
+_EMPTY_INDEX = IndexSet(
+    "", **{f.name: {} if f.metadata["depth"] else () for f in dataclasses.fields(IndexSet)[1:]}
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(_index_sets)
-@example(IndexSet("", **{f.name: {} for f in dataclasses.fields(IndexSet)[1:]}))
+@given(_index_sets())
+@example(_EMPTY_INDEX)
 def test_index_writer_matches_the_json_encoder_on_drawn_indexes(index):
     assert_index_text_matches_the_json_encoder(index)
 
 
 def test_shots_of_occurrences(f1, f1_index):
-    assert f1_index.shots_of_occurrences(["sh2-da1", "sh5-da1"]) == {"sh2", "sh5"}
+    ordinal = {occ.occ_id: i for i, occ in enumerate(occurrences_by_ordinal(f1))}
+    occurrences = [ordinal["sh2-da1"], ordinal["sh5-da1"]]
+    assert f1_index.shots_of_occurrences(occurrences) == {"sh2", "sh5"}
     assert f1_index.shots_of_occurrences([]) == set()
+
+
+def test_occurrence_shots_reads_as_format_3(f1_index):
+    # one shot per occurrence, as format 3's occurrence_shots file held
+    assert list(f1_index.occurrence_shots.values()) == [
+        (shot,) for shot in f1_index.shot_of_occurrence
+    ]
 
 
 def test_medium_corpus_index_round_trips(medium_corpus):
     index = build_index(medium_corpus)
     assert loads_index(dumps_index(index)) == index
-    assert set(index.occurrence_shots) == set(occurrence_ids(medium_corpus))
-    for shot in medium_corpus.shots.values():
-        for occ in shot.occurrences:
-            assert index.occurrence_shots[occ.occ_id] == (shot.id,)
+    assert [index.shots[s] for s in index.shot_of_occurrence] == [
+        occ.shot_id for occ in occurrences_by_ordinal(medium_corpus)
+    ]
