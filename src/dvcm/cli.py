@@ -11,6 +11,15 @@ Exit codes: 0 success, 1 usage or query error, 2 data or integrity error,
 3 benchmark mismatch between engines. ``dvcm query`` parses the query text
 before it reads any file, so a malformed query exits 1 even when the corpus
 or the index is bad as well.
+
+``dvcm query --index`` answers from the index alone. After the query it
+hashes the corpus file without parsing it, loads the index and compares
+the index's fingerprint with the hash. An index is built only from a file
+that loads and validates, so a corpus file that is not UTF-8, not JSON or
+not valid exits 2 with the fingerprint-mismatch line, not with the corpus
+error that the scan (``dvcm query`` without ``--index``) reports. A
+missing corpus file is reported before a bad index file, and a bad index
+file before a mismatch.
 """
 
 from __future__ import annotations
@@ -31,7 +40,13 @@ from .index import (
     load_index,
     save_index,
 )
-from .model import CorpusFormatError, IntegrityError, load_corpus, save_corpus
+from .model import (
+    CorpusFormatError,
+    IntegrityError,
+    corpus_file_fingerprint,
+    load_corpus,
+    save_corpus,
+)
 from .qlang import QueryParseError, parse_query
 from .song_types import song_type_of_compound_scene
 
@@ -139,11 +154,13 @@ def _cmd_index(args) -> int:
 
 def _cmd_query(args) -> int:
     query = parse_query(args.text)
-    corpus = load_corpus(args.corpus)
     if args.index is not None:
-        engine = IndexedEngine(corpus, load_index(args.index, corpus))
+        fingerprint = corpus_file_fingerprint(args.corpus)
+        index = load_index(args.index)
+        index.check_fingerprint(fingerprint)
+        engine = IndexedEngine(None, index)
     else:
-        engine = SequentialScanEngine(corpus)
+        engine = SequentialScanEngine(load_corpus(args.corpus))
     ids = engine.execute(query)
     if args.format == "json":
         print(json.dumps({"granularity": query.granularity.value, "ids": ids}))

@@ -35,18 +35,26 @@ not shots where two different dancers split the conditions between them.
 Both engines apply the same pairing rule, the indexed one by intersecting
 posting lists before resolving occurrences to shots.
 
-Temporal bodies are evaluated by shared per-scene logic (``temporal``);
-the indexed engine uses the dancer file to skip scenes in which the
-relation cannot hold. Result shots of a temporal relation are every shot
-mentioned by a witness. Spatial bodies match stored triplets: the scan
-reads every shot's triplets, the indexed engine reads the spatial file.
+Temporal bodies are evaluated by the one per-scene evaluator of each
+relation (``temporal``), fed per-dancer performance data: the scan builds
+it from the corpus objects on each query, the indexed engine from the
+index arrays, once per dancer name. Only scenes in which the relation can
+hold are evaluated: those where dancer b performs and dancer a performs
+(for observes: watches). Result shots of a temporal relation are every
+shot mentioned by a witness. Spatial bodies match stored triplets: the
+scan reads every shot's triplets, the indexed engine reads the spatial
+file.
+
+The indexed engine reads nothing but its index set, so it answers queries
+from an index loaded without the corpus (``IndexedEngine(None, index)``).
+Both engines resolve names through catalog name tables, which cover
+dancers and steps without occurrences: the scan builds them from the
+corpus, the indexed engine reads them from the index.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .index import IndexSet, build_index
 from .model import Corpus, Granularity, expand_scenes_to_shots, lift_granularity
@@ -66,11 +74,7 @@ from .qlang import (
     TemporalRel,
     parse_query,
 )
-from .temporal import (
-    ALLEN_RELATIONS,
-    evaluate_allen_between_dancers,
-    evaluate_dancer_relation,
-)
+from .temporal import corpus_performances, corpus_watching, relation_evaluator
 
 # Facets that may pair with dancer= at the occurrence level.
 PAIRABLE_FACETS = frozenset({"step", "step_class", "posture", "reflexion"})
@@ -100,24 +104,19 @@ class UnknownNameError(ValueError):
 
 
 class _EngineBase:
-    """Shared evaluation structure; subclasses provide atom resolution."""
+    """Shared evaluation structure; subclasses provide atom resolution, the
+    catalog name tables and the temporal performance data."""
 
-    def __init__(self, corpus: Corpus, synonyms: dict[str, tuple[str, ...]] | None = None):
+    # Catalog name tables: normalized dancer name -> dancer keys, step name
+    # and casefolded step class -> step keys. Keys are IDs in the scan and
+    # ordinals in the indexed engine.
+    _dancer_ids_by_name: dict[str, tuple]
+    _step_ids_by_name: dict[str, tuple]
+    _step_ids_by_class: dict[str, tuple]
+
+    def __init__(self, corpus: Corpus | None, synonyms: dict[str, tuple[str, ...]] | None = None):
         self.corpus = corpus
         self.synonyms = load_synonym_table() if synonyms is None else synonyms
-        # Catalog name tables; these are entity catalogs, not annotations,
-        # so the sequential engine may use them too.
-        self._dancer_ids_by_name: dict[str, tuple[str, ...]] = {}
-        for d in corpus.dancers.values():
-            key = normalize_key(d.name)
-            self._dancer_ids_by_name[key] = self._dancer_ids_by_name.get(key, ()) + (d.id,)
-        self._step_ids_by_name: dict[str, tuple[str, ...]] = {}
-        self._step_ids_by_class: dict[str, tuple[str, ...]] = {}
-        for sd in corpus.step_defs.values():
-            nkey = normalize_key(sd.name)
-            ckey = sd.step_class.casefold()
-            self._step_ids_by_name[nkey] = self._step_ids_by_name.get(nkey, ()) + (sd.id,)
-            self._step_ids_by_class[ckey] = self._step_ids_by_class.get(ckey, ()) + (sd.id,)
 
     # -- public entry points ------------------------------------------------
 
@@ -175,7 +174,7 @@ class _EngineBase:
 
     # -- temporal / spatial ---------------------------------------------------
 
-    def _resolve_step_constraint(self, rel: TemporalRel) -> frozenset[str] | None:
+    def _resolve_step_constraint(self, rel: TemporalRel) -> frozenset | None:
         if rel.step is not None:
             ids = self._step_ids_by_name.get(rel.step, ())
             if not ids:
@@ -186,37 +185,36 @@ class _EngineBase:
             return frozenset(self._step_ids_by_class.get(rel.step_class, ()))
         return None
 
-    def _resolve_dancer_name(self, name: str) -> tuple[str, ...]:
+    def _resolve_dancer_name(self, name: str) -> tuple:
         ids = self._dancer_ids_by_name.get(name, ())
         if not ids:
             raise UnknownNameError(f"unknown dancer: {name!r}")
         return ids
 
-    def _temporal_scene_ids(self, rel: TemporalRel):
-        """Scenes worth evaluating; the base engine tries all of them."""
-        return self.corpus.scenes.keys()
+    def _scene_feed(self, rel: TemporalRel, dancer_a, dancer_b):
+        """The performance data of each scene in which the relation can hold
+        between two dancers: (a's performances, b's performances, the shots
+        in which a watches), as ``temporal`` describes them.
 
-    def _eval_temporal(self, rel: TemporalRel) -> set[str]:
+        Every relation needs b performing in the scene; observes needs a
+        watching there, every other relation a performing.
+        """
+        raise NotImplementedError
+
+    def _eval_temporal(self, rel: TemporalRel) -> set:
         ids_a = self._resolve_dancer_name(rel.dancer_a)
         ids_b = self._resolve_dancer_name(rel.dancer_b)
         allowed = self._resolve_step_constraint(rel)
-        out: set[str] = set()
-        for scene_id in self._temporal_scene_ids(rel):
-            scene = self.corpus.scenes[scene_id]
-            for ida in ids_a:
-                for idb in ids_b:
-                    if ida == idb:
-                        continue
-                    if rel.relation in ALLEN_RELATIONS:
-                        witnesses = evaluate_allen_between_dancers(
-                            self.corpus, scene, rel.relation, ida, idb, allowed
-                        )
-                    else:
-                        witnesses = evaluate_dancer_relation(
-                            self.corpus, scene, rel.relation, ida, idb, allowed
-                        )
-                    for w in witnesses:
-                        out |= w.shot_ids()
+        evaluate = relation_evaluator(rel.relation)
+        out: set = set()
+        for ida in ids_a:
+            for idb in ids_b:
+                if ida == idb:
+                    continue
+                for perf_a, perf_b, watching_a in self._scene_feed(rel, ida, idb):
+                    for shots_a, shots_b, _steps in evaluate(perf_a, perf_b, watching_a, allowed):
+                        out.update(shots_a)
+                        out.update(shots_b)
         return out
 
     def _eval_spatial(self, rel: SpatialRel) -> set:
@@ -236,6 +234,29 @@ def _pairable(node: And) -> tuple[str, str, str] | None:
 
 class SequentialScanEngine(_EngineBase):
     """Baseline engine: every containment atom walks the full annotation set."""
+
+    def __init__(self, corpus: Corpus, synonyms: dict[str, tuple[str, ...]] | None = None):
+        super().__init__(corpus, synonyms)
+        self._dancer_ids_by_name = {}
+        for d in corpus.dancers.values():
+            key = normalize_key(d.name)
+            self._dancer_ids_by_name[key] = self._dancer_ids_by_name.get(key, ()) + (d.id,)
+        self._step_ids_by_name = {}
+        self._step_ids_by_class = {}
+        for sd in corpus.step_defs.values():
+            nkey = normalize_key(sd.name)
+            ckey = sd.step_class.casefold()
+            self._step_ids_by_name[nkey] = self._step_ids_by_name.get(nkey, ()) + (sd.id,)
+            self._step_ids_by_class[ckey] = self._step_ids_by_class.get(ckey, ()) + (sd.id,)
+
+    def _scene_feed(self, rel: TemporalRel, dancer_a: str, dancer_b: str):
+        scenes = self.corpus.scenes.values()
+        performances = corpus_performances(self.corpus, scenes, (dancer_a, dancer_b))
+        scenes_a, scenes_b = performances[dancer_a], performances[dancer_b]
+        observes = rel.relation == "observes"
+        watching = corpus_watching(self.corpus, scenes, (dancer_a,))[dancer_a] if observes else {}
+        for scene in (watching if observes else scenes_a).keys() & scenes_b.keys():
+            yield scenes_a.get(scene, ()), scenes_b[scene], watching.get(scene, ())
 
     def _occ_matches(self, occ, facet: str, value: str) -> bool:
         if facet == "dancer":
@@ -322,32 +343,46 @@ class SequentialScanEngine(_EngineBase):
 
 
 class IndexedEngine(_EngineBase):
-    """Engine backed by the inverted files, working on shot ordinals.
+    """Engine backed by the inverted files, working on ordinals.
 
-    Accepts a prebuilt index set (it must carry the corpus's fingerprint)
-    or builds one from the corpus. Bodies evaluate to sets of shot
-    ordinals; their IDs are looked up once, when the result is lifted.
+    Runs from an index set alone. Given a corpus too, it checks a prebuilt
+    index set against the corpus's fingerprint, or builds one from the
+    corpus, unpinned, since nothing compares it with a file. Bodies
+    evaluate to sets of shot ordinals; their IDs are looked up once, when
+    the result is lifted.
     """
 
     def __init__(
         self,
-        corpus: Corpus,
+        corpus: Corpus | None,
         index: IndexSet | None = None,
         synonyms: dict[str, tuple[str, ...]] | None = None,
     ):
         super().__init__(corpus, synonyms)
         if index is None:
-            index = build_index(corpus)
-        else:
+            if corpus is None:
+                raise TypeError("IndexedEngine needs a corpus, an index set or both")
+            index = build_index(corpus, pinned=False)
+        elif corpus is not None:
             index.check_corpus(corpus)
         self.index = index
-        # scene ordinal -> its shot ordinals, the inverse of scene_of_shot
+        self._dancer_ids_by_name = index.dancers_by_name
+        self._step_ids_by_name = index.step_defs_by_name
+        self._step_ids_by_class = index.step_defs_by_class
+        # scene ordinal -> its shot ordinals, in scene order
         self._shots_of_scene: list[list[int]] = [[] for _ in index.scenes]
-        for shot, scene in enumerate(index.scene_of_shot):
-            self._shots_of_scene[scene].append(shot)
+        for shot in index.shot_order:
+            self._shots_of_scene[index.scene_of_shot[shot]].append(shot)
         # dancer name -> ordinals of the scenes holding an occurrence of it,
         # filled on first use
         self._scenes_by_dancer: dict[str, frozenset[int]] = {}
+        # shot ordinal -> its first occurrence ordinal, with one more entry
+        # for the end: occurrences are numbered in shot order, so each
+        # shot's are one range of ordinals
+        counts = [0] * (len(index.shots) + 1)
+        for shot in index.shot_of_occurrence:
+            counts[shot + 1] += 1
+        self._first_occurrence = list(accumulate(counts))
 
     def _shot_ids(self, shots: set[int]) -> set[str]:
         return set(map(self.index.shots.__getitem__, shots))
@@ -403,31 +438,47 @@ class IndexedEngine(_EngineBase):
             self._scenes_by_dancer[name] = scenes
         return scenes
 
-    def _temporal_scene_ids(self, rel):
-        """Skip scenes where the relation cannot hold.
+    def _scene_feed(self, rel: TemporalRel, dancer_a: int, dancer_b: int):
+        """Only the scenes where the relation can hold, each built from the
+        index arrays when it is reached.
 
-        Every relation needs dancer_b performing in the scene; all but
-        observes need dancer_a performing too (observes needs a merely
-        present, which no file records). Each dancer's scenes are resolved
-        once per engine, so a repeated query prunes with one intersection.
-        Scenes are visited in ID order, the order dvcm writes and so loads
-        them in, which evaluates faster than set order.
+        Each dancer name's scenes are resolved once per engine, so a
+        repeated query prunes with one intersection. A name's scenes may
+        include some where this dancer, one of several with the name, has
+        no performance; every evaluator finds nothing there. Nothing else
+        is kept between queries: caching every dancer's performances made
+        the first queries after a load allocate enough to set off a full
+        pass of the cyclic garbage collector over the loaded data.
         """
-        scenes = self._scenes_of_dancer(rel.dancer_b)
-        if rel.relation != "observes":
-            scenes &= self._scenes_of_dancer(rel.dancer_a)
-        return map(self.index.scenes.__getitem__, sorted(scenes))
+        ix = self.index
+        watching: frozenset[int] = frozenset()
+        if rel.relation == "observes":
+            watching = frozenset(ix.observer_shots.get(ix.dancer_ids[dancer_a], ()))
+            scenes = frozenset(map(ix.scene_of_shot.__getitem__, watching))
+        else:
+            scenes = self._scenes_of_dancer(rel.dancer_a)
+        for scene in scenes & self._scenes_of_dancer(rel.dancer_b):
+            yield (
+                self._scene_performances(dancer_a, scene),
+                self._scene_performances(dancer_b, scene),
+                watching,
+            )
 
-    def _eval_temporal(self, rel: TemporalRel) -> set[int]:
-        # witnesses name shots by ID; the ID table is sorted, so a binary
-        # search finds each ordinal
-        return set(map(partial(bisect_left, self.index.shots), super()._eval_temporal(rel)))
+    def _scene_performances(self, dancer: int, scene: int) -> list[tuple]:
+        ix, first = self.index, self._first_occurrence
+        dancer_of, step_of = ix.dancer_of_occurrence, ix.step_def_of_occurrence
+        return [
+            (shot, ix.shot_starts[shot], ix.shot_ends[shot], step_of[o])
+            for shot in self._shots_of_scene[scene]
+            for o in range(first[shot], first[shot + 1])
+            if dancer_of[o] == dancer
+        ]
 
     def _eval_spatial(self, rel: SpatialRel) -> set[int]:
         """The shots posted under (relation, a, b) in the spatial file."""
-        ids_a = self._resolve_dancer_name(rel.dancer_a)
-        ids_b = self._resolve_dancer_name(rel.dancer_b)
         ix = self.index
+        ids_a = map(ix.dancer_ids.__getitem__, self._resolve_dancer_name(rel.dancer_a))
+        ids_b = list(map(ix.dancer_ids.__getitem__, self._resolve_dancer_name(rel.dancer_b)))
         by_first = (ix.spatial_performing if rel.performing else ix.spatial).get(rel.relation, {})
         out: set[int] = set()
         for id_a in ids_a:

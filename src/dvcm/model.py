@@ -33,6 +33,7 @@ import json
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter, itemgetter
@@ -239,11 +240,11 @@ class Corpus:
     """The immutable annotation store: entity catalogs keyed by ID.
 
     One derived lookup table, the occurrence IDs of each step definition,
-    is built once at construction and never mutated afterwards; the
-    fingerprint is set by ``load_corpus`` from the file's bytes, or cached
-    on first use. Both are excluded from equality so that structural
-    equality is defined purely by the annotated data. The occurrence-to-shot
-    map lives in the index (``IndexSet.shot_of_occurrence``).
+    is built on first use and never mutated afterwards; the fingerprint is
+    set by ``load_corpus`` from the file's bytes, or cached on first use.
+    Both are excluded from equality so that structural equality is defined
+    purely by the annotated data. The occurrence-to-shot map lives in the
+    index (``IndexSet.shot_of_occurrence``).
     """
 
     videos: dict[str, Video] = field(default_factory=dict)
@@ -258,27 +259,14 @@ class Corpus:
     scenes: dict[str, Scene] = field(default_factory=dict)
     shots: dict[str, Shot] = field(default_factory=dict)
 
-    # step_def_id -> sorted occ ids
-    _occs_by_step_def: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, compare=False, repr=False
+    # step_def_id -> sorted occ ids, built on first use
+    _occs_by_step_def: dict[str, tuple[str, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False
     )
     # corpus_fingerprint's value: the file's hash, or cached on first use
     _fingerprint: str | None = field(
         default=None, init=False, compare=False, repr=False
     )
-
-    def __post_init__(self) -> None:
-        self.rebuild_lookup_tables()
-
-    def rebuild_lookup_tables(self) -> None:
-        by_step: dict[str, list[str]] = {}
-        for shot in self.shots.values():
-            for occ in shot.occurrences:
-                by_step.setdefault(occ.step_def_id, []).append(occ.occ_id)
-        self._occs_by_step_def = {
-            sid: tuple(sorted(ids)) for sid, ids in by_step.items()
-        }
-        self._fingerprint = None
 
     def shot(self, shot_id: str) -> Shot:
         try:
@@ -298,6 +286,12 @@ class Corpus:
         Kept for the benchmark's trace counts (``perfbench/layers.py``);
         the indexed engine reads the index's step files instead.
         """
+        if self._occs_by_step_def is None:
+            by_step: dict[str, list[str]] = {}
+            for shot in self.shots.values():
+                for occ in shot.occurrences:
+                    by_step.setdefault(occ.step_def_id, []).append(occ.occ_id)
+            self._occs_by_step_def = {sid: tuple(sorted(ids)) for sid, ids in by_step.items()}
         return self._occs_by_step_def.get(step_def_id, ())
 
     def scene_of_shot(self, shot_id: str) -> Scene:
@@ -929,6 +923,25 @@ def loads_corpus(text: str) -> Corpus:
     return parse_corpus_document(doc)
 
 
+def _sha256(blocks: Iterable[bytes]) -> str:
+    """The SHA-256 of the concatenated blocks: a corpus fingerprint."""
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def corpus_file_fingerprint(path) -> str:
+    """The fingerprint of a corpus file, read in blocks and never parsed.
+
+    An index is built only from a file that loads and validates, so a file
+    whose fingerprint matches an index needs no parsing or validation to be
+    answered from it.
+    """
+    with open(path, "rb") as fh:
+        return _sha256(iter(partial(fh.read, 1 << 20), b""))
+
+
 def load_corpus(path) -> Corpus:
     """Load, parse and fully validate a corpus file.
 
@@ -937,7 +950,7 @@ def load_corpus(path) -> Corpus:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    fingerprint = hashlib.sha256(data).hexdigest()
+    fingerprint = _sha256((data,))
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -1018,8 +1031,5 @@ def corpus_fingerprint(corpus: Corpus) -> str:
     and cached, since corpora are immutable after construction.
     """
     if corpus._fingerprint is None:
-        digest = hashlib.sha256()
-        for chunk in corpus_chunks(corpus):
-            digest.update(chunk.encode("utf-8"))
-        corpus._fingerprint = digest.hexdigest()
+        corpus._fingerprint = _sha256(chunk.encode("utf-8") for chunk in corpus_chunks(corpus))
     return corpus._fingerprint

@@ -22,15 +22,29 @@ performs a step (an occurrence), in scene order:
                    the shots disagree)
     observes       a is on screen without an occurrence while b performs
 
+Every relation of both layers, between two dancers in one scene, has one
+evaluator here (``relation_evaluator``), and both engines run it. It reads
+the scene's performance data rather than a corpus: each dancer's
+performances, ``(shot, start, end, step)`` per occurrence in scene order,
+and the shots in which dancer a is on screen without an occurrence. Shots
+and steps are opaque keys compared for equality: IDs when the sequential
+engine builds the data from the corpus objects (``corpus_performances``,
+``corpus_watching``), ordinals when the indexed engine builds it from the
+index arrays. The co-performer's step in a shot is read off b's
+performances.
+
 Evaluators return witnesses: which shots and step definitions ground the
-relation. Callers turn those into result sets or re-check them.
+relation. ``evaluate_dancer_relation`` and
+``evaluate_allen_between_dancers`` run them on one scene of a corpus and
+return ``Witness`` records, which callers turn into result sets or
+re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Corpus, Scene, Shot, TimeInterval
+from .model import Corpus, Scene, TimeInterval
 
 ALLEN_RELATIONS = (
     "before",
@@ -85,7 +99,11 @@ def allen_relation(i1: TimeInterval, i2: TimeInterval) -> str:
     """
     if i1.start >= i1.end or i2.start >= i2.end:
         raise ValueError("interval relations need proper intervals (start < end)")
-    s1, e1, s2, e2 = i1.start, i1.end, i2.start, i2.end
+    return _allen(i1.start, i1.end, i2.start, i2.end)
+
+
+def _allen(s1: int, e1: int, s2: int, e2: int) -> str:
+    """``allen_relation`` of [s1, e1] and [s2, e2], both proper."""
     if e1 < s2:
         return "before"
     if e2 < s1:
@@ -130,17 +148,172 @@ class Witness:
         return set(self.shots_a) | set(self.shots_b)
 
 
-def _performance_shots(
-    corpus: Corpus, scene: Scene, dancer_id: str
-) -> list[tuple[Shot, str]]:
-    """(shot, step_def_id) of each of the dancer's occurrences, in scene order."""
-    out = []
-    for shot_id in scene.shot_ids:
-        shot = corpus.shots[shot_id]
-        occ = shot.occurrence_of(dancer_id)
-        if occ is not None:
-            out.append((shot, occ.step_def_id))
+# -- performance data ---------------------------------------------------------
+#
+# A performance is (shot, start, end, step): one occurrence of a dancer, its
+# shot's life span and its step definition. An evaluator takes dancer a's and
+# dancer b's performances in one scene, in scene order, the shots of that
+# scene in which a watches (on screen without an occurrence), and the
+# allowed steps (None for any), and returns (shots_a, shots_b, steps)
+# triples, the fields of a Witness.
+
+
+def corpus_performances(corpus: Corpus, scenes, dancer_ids) -> dict:
+    """dancer ID -> scene ID -> the dancer's performances in that scene, in
+    scene order, with shot and step IDs; scenes without one are left out."""
+    out: dict[str, dict[str, list]] = {dancer_id: {} for dancer_id in dancer_ids}
+    shots = corpus.shots
+    for scene in scenes:
+        for shot_id in scene.shot_ids:
+            shot = shots[shot_id]
+            for occ in shot.occurrences:
+                by_scene = out.get(occ.dancer_id)
+                if by_scene is not None:
+                    span = shot.life_span
+                    by_scene.setdefault(scene.id, []).append(
+                        (shot_id, span.start, span.end, occ.step_def_id)
+                    )
     return out
+
+
+def corpus_watching(corpus: Corpus, scenes, dancer_ids) -> dict:
+    """dancer ID -> scene ID -> the IDs of the shots in which the dancer is
+    on screen without an occurrence; scenes without one are left out."""
+    out: dict[str, dict[str, set]] = {dancer_id: {} for dancer_id in dancer_ids}
+    shots = corpus.shots
+    for scene in scenes:
+        for shot_id in scene.shot_ids:
+            shot = shots[shot_id]
+            for dancer_id in out.keys() & shot.dancer_ids:
+                if shot.occurrence_of(dancer_id) is None:
+                    out[dancer_id].setdefault(scene.id, set()).add(shot_id)
+    return out
+
+
+def _allows(allowed, step) -> bool:
+    return allowed is None or step in allowed
+
+
+def _follows_or_repeats(follows: bool):
+    def evaluate(perf_a, perf_b, watching_a, allowed):
+        out = []
+        for shot_a, _, end_a, step in perf_a:
+            if not _allows(allowed, step):
+                continue
+            for shot_b, start_b, _, step_b in perf_b:
+                if shot_a == shot_b or step != step_b:
+                    continue
+                if (end_a == start_b) if follows else (end_a < start_b):
+                    out.append(((shot_a,), (shot_b,), (step,)))
+        return out
+
+    return evaluate
+
+
+def _sequence(follows: bool):
+    def evaluate(perf_a, perf_b, watching_a, allowed):
+        if not perf_a or len(perf_a) != len(perf_b):
+            return []
+        for (shot_a, _, end_a, step_a), (shot_b, start_b, _, step_b) in zip(perf_a, perf_b):
+            if shot_a == shot_b or step_a != step_b:
+                return []
+            if (end_a != start_b) if follows else (end_a >= start_b):
+                return []
+        steps = tuple(p[3] for p in perf_a)
+        if allowed is not None and not allowed.issuperset(steps):
+            return []
+        return [(tuple(p[0] for p in perf_a), tuple(p[0] for p in perf_b), steps)]
+
+    return evaluate
+
+
+def _performs(same: bool):
+    def evaluate(perf_a, perf_b, watching_a, allowed):
+        step_of_b = {p[0]: p[3] for p in perf_b}
+        return [
+            ((shot,), (shot,), (step,))
+            for shot, _, _, step in perf_a
+            if shot in step_of_b and (step_of_b[shot] == step) == same and _allows(allowed, step)
+        ]
+
+    return evaluate
+
+
+def _performs_sequence(same: bool):
+    def evaluate(perf_a, perf_b, watching_a, allowed):
+        step_of_b = {p[0]: p[3] for p in perf_b}
+        shared = [(shot, step) for shot, _, _, step in perf_a if shot in step_of_b]
+        if not shared or any((step_of_b[shot] == step) != same for shot, step in shared):
+            return []
+        steps = tuple(step for _, step in shared)
+        if allowed is not None and not allowed.issuperset(steps):
+            return []
+        shots = tuple(shot for shot, _ in shared)
+        return [(shots, shots, steps)]
+
+    return evaluate
+
+
+def _observes(perf_a, perf_b, watching_a, allowed):
+    return [
+        ((shot,), (shot,), (step,))
+        for shot, _, _, step in perf_b
+        if shot in watching_a and _allows(allowed, step)
+    ]
+
+
+def _interval(relation: str):
+    """Every pair of a performance of a and one of b, both on proper
+    intervals, whose life spans stand in the relation; the allowed steps
+    constrain dancer a's step. The same shot may pair with itself."""
+
+    def evaluate(perf_a, perf_b, watching_a, allowed):
+        spans_a = [p for p in perf_a if p[1] < p[2] and _allows(allowed, p[3])]
+        if not spans_a:
+            return []
+        spans_b = [p for p in perf_b if p[1] < p[2]]
+        return [
+            ((shot_a,), (shot_b,), (step,))
+            for shot_a, s1, e1, step in spans_a
+            for shot_b, s2, e2, _ in spans_b
+            if _allen(s1, e1, s2, e2) == relation
+        ]
+
+    return evaluate
+
+
+_EVALUATORS = {
+    "follows": _follows_or_repeats(True),
+    "repeats": _follows_or_repeats(False),
+    "follows_sequence": _sequence(True),
+    "repeats_sequence": _sequence(False),
+    "performs_same": _performs(True),
+    "performs_different": _performs(False),
+    "performs_same_sequence": _performs_sequence(True),
+    "performs_different_sequence": _performs_sequence(False),
+    "observes": _observes,
+    **{relation: _interval(relation) for relation in ALLEN_RELATIONS},
+}
+
+
+def relation_evaluator(relation: str):
+    """The evaluator of a dancer or interval relation, as described above."""
+    try:
+        return _EVALUATORS[relation]
+    except KeyError:
+        raise ValueError(f"unknown relation: {relation!r}") from None
+
+
+def _scene_witnesses(corpus, scene, relation, dancer_a, dancer_b, allowed_steps):
+    performances = corpus_performances(corpus, (scene,), (dancer_a, dancer_b))
+    watching = corpus_watching(corpus, (scene,), (dancer_a,))
+    found = _EVALUATORS[relation](
+        performances[dancer_a].get(scene.id, ()),
+        performances[dancer_b].get(scene.id, ()),
+        watching[dancer_a].get(scene.id, ()),
+        allowed_steps,
+    )
+    return [Witness(relation, scene.id, dancer_a, dancer_b, *w) for w in found]
 
 
 def evaluate_dancer_relation(
@@ -160,90 +333,7 @@ def evaluate_dancer_relation(
         raise ValueError("dancer relations need two distinct dancers")
     if relation not in DANCER_RELATIONS:
         raise ValueError(f"unknown dancer relation: {relation!r}")
-
-    shots_a = _performance_shots(corpus, scene, dancer_a)
-    shots_b = _performance_shots(corpus, scene, dancer_b)
-    witnesses: list[Witness] = []
-
-    def emit(sa: tuple[str, ...], sb: tuple[str, ...], steps: tuple[str, ...]) -> None:
-        if allowed_steps is not None and not set(steps) <= allowed_steps:
-            return
-        witnesses.append(
-            Witness(relation, scene.id, dancer_a, dancer_b, sa, sb, steps)
-        )
-
-    if relation in ("follows", "repeats"):
-        for sa, step_a in shots_a:
-            for sb, step_b in shots_b:
-                if sa.id == sb.id or step_a != step_b:
-                    continue
-                if relation == "follows" and sa.life_span.end == sb.life_span.start:
-                    emit((sa.id,), (sb.id,), (step_a,))
-                elif relation == "repeats" and sa.life_span.end < sb.life_span.start:
-                    emit((sa.id,), (sb.id,), (step_a,))
-
-    elif relation in ("follows_sequence", "repeats_sequence"):
-        if shots_a and len(shots_a) == len(shots_b):
-            steps: list[str] = []
-            for (sa, step_a), (sb, step_b) in zip(shots_a, shots_b):
-                if sa.id == sb.id or step_a != step_b:
-                    break
-                if relation == "follows_sequence":
-                    if sa.life_span.end != sb.life_span.start:
-                        break
-                elif sa.life_span.end >= sb.life_span.start:
-                    break
-                steps.append(step_a)
-            else:
-                emit(
-                    tuple(s.id for s, _ in shots_a),
-                    tuple(s.id for s, _ in shots_b),
-                    tuple(steps),
-                )
-
-    elif relation in ("performs_same", "performs_different"):
-        for sa, step_a in shots_a:
-            occ_b = sa.occurrence_of(dancer_b)
-            if occ_b is None:
-                continue
-            step_b = occ_b.step_def_id
-            if relation == "performs_same" and step_a == step_b:
-                emit((sa.id,), (sa.id,), (step_a,))
-            elif relation == "performs_different" and step_a != step_b:
-                emit((sa.id,), (sa.id,), (step_a,))
-
-    elif relation in ("performs_same_sequence", "performs_different_sequence"):
-        shared = [
-            (sa, step_a, occ_b.step_def_id)
-            for sa, step_a in shots_a
-            if (occ_b := sa.occurrence_of(dancer_b)) is not None
-        ]
-        if shared:
-            steps = []
-            for _shot, step_a, step_b in shared:
-                if relation == "performs_same_sequence":
-                    if step_a != step_b:
-                        break
-                elif step_a == step_b:
-                    break
-                steps.append(step_a)
-            else:
-                ids = tuple(s.id for s, _, _ in shared)
-                emit(ids, ids, tuple(steps))
-
-    elif relation == "observes":
-        for shot_id in scene.shot_ids:
-            shot = corpus.shots[shot_id]
-            if dancer_a not in shot.dancer_ids:
-                continue
-            if shot.occurrence_of(dancer_a) is not None:
-                continue
-            occ_b = shot.occurrence_of(dancer_b)
-            if occ_b is None:
-                continue
-            emit((shot.id,), (shot.id,), (occ_b.step_def_id,))
-
-    return witnesses
+    return _scene_witnesses(corpus, scene, relation, dancer_a, dancer_b, allowed_steps)
 
 
 def evaluate_allen_between_dancers(
@@ -265,29 +355,4 @@ def evaluate_allen_between_dancers(
         raise ValueError("interval relations between dancers need two distinct dancers")
     if relation not in ALLEN_RELATIONS:
         raise ValueError(f"unknown interval relation: {relation!r}")
-    shots_a = []
-    for sa, step_a in _performance_shots(corpus, scene, dancer_a):
-        if sa.life_span.start >= sa.life_span.end:
-            continue
-        if allowed_steps is not None and step_a not in allowed_steps:
-            continue
-        shots_a.append((sa, step_a))
-    if not shots_a:
-        return []
-    # most scenes fail the checks above, so dancer_b's shots are gathered
-    # only after one of dancer_a's passes, and then only once
-    shots_b = [
-        sb for sb, _ in _performance_shots(corpus, scene, dancer_b)
-        if sb.life_span.start < sb.life_span.end
-    ]
-    witnesses = []
-    for sa, step_a in shots_a:
-        for sb in shots_b:
-            # same shot is allowed: both dancers perform, the intervals
-            # coincide and the pair lands in "equals"
-            if allen_relation(sa.life_span, sb.life_span) == relation:
-                witnesses.append(
-                    Witness(relation, scene.id, dancer_a, dancer_b,
-                            (sa.id,), (sb.id,), (step_a,))
-                )
-    return witnesses
+    return _scene_witnesses(corpus, scene, relation, dancer_a, dancer_b, allowed_steps)

@@ -8,11 +8,12 @@ package is wrong.
 from __future__ import annotations
 
 import itertools
+import json
 import re
 
 from hypothesis import strategies as st
 
-from dvcm.model import SPATIAL_RELATIONS, Corpus, parse_corpus_document
+from dvcm.model import SPATIAL_RELATIONS, Corpus, dumps_corpus, parse_corpus_document
 from dvcm.temporal import ALLEN_RELATIONS, Witness
 
 
@@ -154,6 +155,49 @@ def small_doc() -> dict:
 
 def doc_to_corpus(doc: dict) -> Corpus:
     return parse_corpus_document(doc)
+
+
+@st.composite
+def widened_corpora(draw, corpus: Corpus) -> Corpus:
+    """The corpus with the cases a generated one lacks or seldom has.
+
+    Shot IDs are permuted, so ID order is not scene order; some shots
+    become degenerate (start == end); some shots gain an on-screen dancer
+    without an occurrence; and a dancer and a step definition with no
+    occurrence join the catalogs, each under a new name or one it shares.
+    """
+    doc = json.loads(dumps_corpus(corpus))
+    shots = doc["shots"]
+    rename = dict(zip((shot["id"] for shot in shots), draw(st.permutations(
+        [shot["id"] for shot in shots]))))
+    for scene in doc["scenes"]:
+        scene["shot_ids"] = [rename[shot_id] for shot_id in scene["shot_ids"]]
+    dancer_names = [d["name"] for d in doc["dancers"]]
+    doc["dancers"].append({
+        "id": "d0000-idle",
+        "name": draw(st.sampled_from(dancer_names + ["Idle Dancer"])),
+        "age": 30,
+        "sex": "female",
+    })
+    step_names = [sd["name"] for sd in doc["step_defs"]]
+    doc["step_defs"].append({
+        "id": "st0000-unused",
+        "step_class": "CS",
+        "name": draw(st.sampled_from(step_names + ["Unused Step"])),
+        "movement": "never performed",
+        "body_parts": [],
+    })
+    dancer_ids = [d["id"] for d in doc["dancers"]]
+    for shot in shots:
+        shot["id"] = rename[shot["id"]]
+        for occ in shot["occurrences"]:
+            occ["shot_id"] = shot["id"]
+        if draw(st.booleans()):
+            shot["life_span"]["end"] = shot["life_span"]["start"]
+        watcher = draw(st.sampled_from(dancer_ids))
+        if draw(st.booleans()) and watcher not in shot["dancer_ids"]:
+            shot["dancer_ids"].append(watcher)
+    return doc_to_corpus(doc)
 
 
 # Strings a JSON writer must escape or pass through as \u escapes: quotes,

@@ -148,7 +148,7 @@ def test_gen_and_index_bytes_are_pinned(tmp_path):
     # The corpus digest is that of the file the hand-written corpus codec,
     # which the table-driven one replaced, wrote. The index embeds the
     # corpus fingerprint, so its digest pins the fingerprint too; it is the
-    # format 4 file, with ordinal posting lists.
+    # format 5 file, compact JSON with the catalog and performance tables.
     corpus_path = tmp_path / "g.json"
     index_path = tmp_path / "g.index.json"
     gen_args = ["gen", "--shots", "120", "--dancers", "5", "--seed", "42"]
@@ -158,7 +158,7 @@ def test_gen_and_index_bytes_are_pinned(tmp_path):
         "d187f5b2b92b5f454d4a4b7e032153ba464c2de7e57e85ee101ffd4a5038848e"
     )
     assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-        "1924861968a9ec9d02c8304e7ba6e2d3bd67c74f62ad9c225c38f7766d4b57f8"
+        "159c472cbbd5a1b44cb1d028a9865692813ab717aecc4e99946c839bad6e29b5"
     )
     index_doc = json.loads(index_path.read_text(encoding="utf-8"))
     assert index_doc["fingerprint"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
@@ -207,7 +207,8 @@ def test_query_error_wins_over_a_bad_corpus(capsys, monkeypatch, tmp_path, corpu
     if corpus == "corrupt":
         path.write_text("{nope", encoding="utf-8")
     loads = []
-    monkeypatch.setattr(dvcm.cli, "load_corpus", lambda path: loads.append(path))
+    for name in ("load_corpus", "corpus_file_fingerprint", "load_index"):
+        monkeypatch.setattr(dvcm.cli, name, lambda path: loads.append(path))
     code, out, err = run_cli(
         capsys, "query", str(path), "find nothing anywhere", "--index", str(path)
     )
@@ -251,7 +252,7 @@ def test_index_without_format_exits_2(capsys, tmp_path, f1_path):
         "--index", str(index_path),
     )
     assert code == 2
-    assert err == "error: index format is missing, expected 4; rebuild the index\n"
+    assert err == "error: index format is missing, expected 5; rebuild the index\n"
 
 
 def test_index_that_is_not_utf8_exits_2(capsys, tmp_path, f1_path):
@@ -292,6 +293,82 @@ def test_cold_index_and_query_never_serialize_the_corpus(
     )
     assert code == 0 and out
     assert calls == []
+
+
+# One query of each body kind: containment, temporal, spatial and
+# spatio-temporal, all with answers on f1.
+_ONE_QUERY_OF_EACH_KIND = [
+    'find shots where dancer = "Anitha" and posture = "front"',
+    'find scenes where follows(dancer = "Anitha", dancer = "Lisa")',
+    'find shots where spatial(dancer = "Anitha", dancer = "Lisa", relation = "behind")',
+    'find cscenes where performs_same(dancer = "Anitha", dancer = "Lisa")'
+    ' and spatial(dancer = "Anitha", dancer = "Lisa", relation = "in_front_of")',
+]
+
+
+@pytest.mark.parametrize("text", _ONE_QUERY_OF_EACH_KIND)
+def test_indexed_query_never_parses_the_corpus(capsys, monkeypatch, tmp_path, f1_path, text):
+    # the corpus file is only hashed; the index answers every body kind
+    index_path = str(tmp_path / "f1.index.json")
+    assert main(["index", f1_path, "-o", index_path]) == 0
+    capsys.readouterr()
+    _, expected, _ = run_cli(capsys, "query", f1_path, text)
+    calls = []
+
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+
+        return refuse
+
+    for name in ("load_corpus", "loads_corpus", "parse_corpus_document"):
+        monkeypatch.setattr(dvcm.model, name, refusing(name))
+        monkeypatch.setattr(dvcm.cli, name, refusing(name), raising=False)
+    code, out, _ = run_cli(capsys, "query", f1_path, text, "--index", index_path)
+    assert code == 0 and out == expected and out
+    assert calls == []
+
+
+def _invalid_corpus() -> bytes:
+    doc = small_doc()
+    doc["shots"][0]["scene_id"] = "nowhere"
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff", b"{nope", b"[]", _invalid_corpus()],
+    ids=["not-utf8", "not-json", "not-a-corpus", "invalid"],
+)
+def test_indexed_query_reports_a_bad_corpus_as_a_fingerprint_mismatch(
+    capsys, tmp_path, f1_path, content
+):
+    # the index path never parses the corpus: a file dvcm index could not
+    # have read cannot match the index's fingerprint
+    index_path = str(tmp_path / "f1.index.json")
+    assert main(["index", f1_path, "-o", index_path]) == 0
+    capsys.readouterr()
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_bytes(content)
+    text = 'find shots where dancer = "Anitha"'
+    code, out, err = run_cli(capsys, "query", str(bad_path), text, "--index", index_path)
+    assert code == 2 and out == ""
+    assert err == "error: index fingerprint does not match the corpus; rebuild the index\n"
+    # the scan parses and validates the file, and says what is wrong with it
+    code, out, err = run_cli(capsys, "query", str(bad_path), text)
+    assert code == 2 and out == "" and "fingerprint" not in err
+
+
+def test_indexed_query_reports_a_missing_corpus_then_a_bad_index(capsys, tmp_path, f1_path):
+    index_path = tmp_path / "f1.index.json"
+    index_path.write_text('{"format": 4}', encoding="utf-8")
+    text = 'find shots where dancer = "Anitha"'
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run_cli(capsys, "query", missing, text, "--index", str(index_path))
+    assert code == 2 and "missing.json" in err and err.count("\n") == 1
+    # a bad index is reported before a corpus that does not match it
+    code, _, err = run_cli(capsys, "query", f1_path, text, "--index", str(index_path))
+    assert code == 2 and err.startswith("error: expected an object with")
 
 
 def test_reformatted_corpus_needs_a_new_index(capsys, tmp_path, f1_path):
@@ -369,10 +446,12 @@ def test_truncated_posting_file_exits_2_with_one_line(
             "from 0 to 8\n"
         )
     else:
+        # the count is checked against the index's own occurrence map
         occurrences = seen["occurrences"]
         assert err == (
-            f"error: index files.dancers posts {occurrences - seen['cut']} "
-            f"occurrence(s), the corpus has {occurrences}; rebuild the index\n"
+            f"error: files.dancers must post each of the {occurrences} entries of "
+            f"files.shot_of_occurrence once, and posts {occurrences - seen['cut']}; "
+            "rebuild the index\n"
         )
 
 
@@ -419,7 +498,7 @@ def test_format_3_index_exits_2_with_rebuild(capsys, tmp_path, f1_path):
         capsys, tmp_path, f1_path, lambda doc: doc.update(format=3)
     )
     assert code == 2 and out == ""
-    assert err == "error: index format is 3, expected 4; rebuild the index\n"
+    assert err == "error: index format is 3, expected 5; rebuild the index\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])

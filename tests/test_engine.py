@@ -7,10 +7,10 @@ import json
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from corpus_kit import doc_to_corpus, small_doc
+from corpus_kit import doc_to_corpus, small_doc, widened_corpora
 from dvcm.bench import collect_vocabulary, random_containment_query
 from dvcm import cli
 from dvcm.engine import (
@@ -20,7 +20,8 @@ from dvcm.engine import (
     UnknownNameError,
 )
 from dvcm.generator import CounterRng, GenParams, generate_corpus
-from dvcm.index import build_index
+import dvcm.index
+from dvcm.index import build_index, dumps_index, loads_index
 from dvcm.model import SPATIAL_RELATIONS, Granularity, save_corpus
 from dvcm.normalize import normalize_key
 from dvcm.qlang import (
@@ -323,6 +324,9 @@ def _whole_language_cases(draw):
     performing value; spatio-temporal conjunctions in both orders; and
     containment queries, each at a drawn granularity. Some corpora give
     two dancers one normalized name, so a name stands for several IDs.
+    Every corpus is widened (``widened_corpora``): shot IDs out of scene
+    order, degenerate shots, more watching dancers, and a dancer and a step
+    definition without occurrences.
     """
     weights = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(any))
     corpus = generate_corpus(
@@ -341,6 +345,7 @@ def _whole_language_cases(draw):
         twin = f"  {dancers[first].name.upper()} "
         dancers[second] = dataclasses.replace(dancers[second], name=twin)
         corpus = dataclasses.replace(corpus, dancers=dancers)
+    corpus = draw(widened_corpora(corpus))
     # a relation call names two different dancers
     pairs = st.lists(
         st.sampled_from(sorted({normalize_key(d.name) for d in corpus.dancers.values()})),
@@ -400,7 +405,15 @@ def _cli(*argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# No shrink phase: each example builds a corpus and runs about 40 queries
+# down three paths, so shrinking one failure took minutes of CPU. A failure
+# is reported as generated, with at most 40 shots.
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 @given(_whole_language_cases())
 def test_engines_and_cli_agree_on_the_whole_language(case):
     corpus, queries = case
@@ -496,3 +509,67 @@ def test_spatiotemporal_order_does_not_change_results(f1_engine):
     one = f1_engine.execute(Query(Granularity.SHOT, SpatioTemporal(temporal, spatial)))
     two = f1_engine.execute(Query(Granularity.SHOT, SpatioTemporal(spatial, temporal)))
     assert one == two == ["sh7"]
+
+
+def _scene_order_doc() -> dict:
+    """One scene whose order is m1 t1 m2 t2: Mina performs in m1 and m2,
+    Tara in t1 and t2, each of Tara's shots starting where the shot of
+    Mina's before it ends, on the same step. By ID, Mina's two shots sort
+    the other way round ("b" < "c" but m2 < m1)."""
+    doc = small_doc()
+    ids = {"m1": "c", "t1": "x", "m2": "b", "t2": "y"}
+    dancer_of = {"m1": "d1", "t1": "d2", "m2": "d1", "t2": "d2"}
+    doc["shots"] = [
+        {
+            "id": ids[name],
+            "scene_id": "x1",
+            "life_span": {"start": 500 * k, "end": 500 * (k + 1)},
+            "dancer_ids": [dancer_of[name]],
+            "occurrences": [{
+                "occ_id": f"{ids[name]}-{dancer_of[name]}",
+                "shot_id": ids[name],
+                "dancer_id": dancer_of[name],
+                "step_def_id": "a1",
+                "posture": "front",
+                "reflexion": "calm",
+            }],
+            "spatial_triplets": [],
+            "description": name,
+        }
+        for k, name in enumerate(("m1", "t1", "m2", "t2"))
+    ]
+    doc["scenes"][0]["shot_ids"] = [ids[name] for name in ("m1", "t1", "m2", "t2")]
+    return doc
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES, ids=["sequential", "indexed"])
+def test_sequences_pair_shots_in_scene_order_not_id_order(engine_cls):
+    engine = engine_cls(doc_to_corpus(_scene_order_doc()))
+    text = 'find shots where follows_sequence(dancer = "Mina", dancer = "Tara")'
+    assert engine.execute_text(text) == ["b", "c", "x", "y"]
+    text = 'find shots where repeats_sequence(dancer = "Mina", dancer = "Tara")'
+    assert engine.execute_text(text) == []
+
+
+def test_indexed_engine_runs_from_the_index_alone(medium_corpus):
+    # the same answers with and without the corpus, which it never reads
+    index = loads_index(dumps_index(build_index(medium_corpus)))
+    with_corpus = IndexedEngine(medium_corpus, index)
+    alone = IndexedEngine(None, index)
+    names = sorted({normalize_key(d.name) for d in medium_corpus.dancers.values()})
+    for relation in ("follows", "observes", "equals"):
+        text = f'find scenes where {relation}(dancer = "{names[0]}", dancer = "{names[1]}")'
+        assert alone.execute_text(text) == with_corpus.execute_text(text)
+    assert alone.corpus is None and with_corpus.corpus is medium_corpus
+    with pytest.raises(TypeError):
+        IndexedEngine(None)
+
+
+def test_indexed_engine_built_from_a_corpus_never_hashes_it(monkeypatch, f1):
+    def refuse(corpus):
+        raise AssertionError("the corpus was hashed")
+
+    monkeypatch.setattr(dvcm.index, "corpus_fingerprint", refuse)
+    engine = IndexedEngine(dataclasses.replace(f1))
+    assert engine.index.fingerprint == ""
+    assert engine.execute_text('find shots where instrument = "Veena"') == ["sh1"]

@@ -15,8 +15,10 @@ from corpus_kit import (
     small_doc,
     texts,
 )
+import dvcm.index
 from dvcm.engine import IndexedEngine
 from dvcm.index import (
+    TICKS,
     IndexMismatchError,
     IndexSet,
     build_index,
@@ -74,6 +76,60 @@ def test_id_tables_and_ordinal_maps(f1, f1_index):
         f1.shots[shot_id].scene_id for shot_id in f1_index.shots
     ]
     assert f1_index.compound_scene_of_scene == (0, 0)
+
+
+def test_occurrence_maps_and_shot_tables(f1, f1_index):
+    occurrences = occurrences_by_ordinal(f1)
+    assert [f1_index.dancer_ids[d] for d in f1_index.dancer_of_occurrence] == [
+        occ.dancer_id for occ in occurrences
+    ]
+    assert [f1_index.step_def_ids[sd] for sd in f1_index.step_def_of_occurrence] == [
+        occ.step_def_id for occ in occurrences
+    ]
+    # scene by scene, each in its own shot order
+    assert [f1_index.shots[s] for s in f1_index.shot_order] == [
+        shot_id for scene_id in f1_index.scenes for shot_id in f1.scenes[scene_id].shot_ids
+    ]
+    spans = [f1.shots[shot_id].life_span for shot_id in f1_index.shots]
+    assert f1_index.shot_starts == tuple(span.start for span in spans)
+    assert f1_index.shot_ends == tuple(span.end for span in spans)
+
+
+def test_observer_shots(f1, f1_index):
+    expected: dict[str, list[int]] = {}
+    for ordinal, shot_id in enumerate(f1_index.shots):
+        shot = f1.shots[shot_id]
+        for dancer_id in sorted(shot.dancer_ids):
+            if shot.occurrence_of(dancer_id) is None:
+                expected.setdefault(dancer_id, []).append(ordinal)
+    assert f1_index.observer_shots == {k: tuple(v) for k, v in expected.items()}
+    # Lisa watches in sh2 and sh5, Anitha in sh8
+    assert f1_index.observer_shots == {"da1": (7,), "da2": (1, 4)}
+
+
+def test_catalog_name_tables_cover_entries_without_occurrences():
+    doc = small_doc()
+    doc["dancers"].append({"id": "d3", "name": " MINA ", "age": 40, "sex": "female"})
+    doc["step_defs"].append(
+        {"id": "c9", "step_class": "CS", "name": "Rest", "movement": "none", "body_parts": []}
+    )
+    index = build_index(doc_to_corpus(doc))
+    assert index.dancer_ids == ("d1", "d2", "d3")
+    assert index.dancers_by_name == {"mina": (0, 2), "tara": (1,)}
+    assert index.step_def_ids == ("a1", "c9", "p1")
+    assert index.step_defs_by_name == {"stamp": (0,), "rest": (1,), "gaze": (2,)}
+    assert index.step_defs_by_class == {"ad": (0,), "cs": (1,), "py": (2,)}
+    # the posting files hold only what occurs
+    assert set(index.dancers) == {"mina", "tara"} and "rest" not in index.steps
+
+
+def test_unpinned_index_has_no_fingerprint(monkeypatch, f1, f1_index):
+    def refuse(corpus):
+        raise AssertionError("the corpus was hashed")
+
+    monkeypatch.setattr(dvcm.index, "corpus_fingerprint", refuse)
+    unpinned = build_index(f1, pinned=False)
+    assert unpinned == dataclasses.replace(f1_index, fingerprint="")
 
 
 def test_reflexion_and_instrument_postings(f1, f1_index):
@@ -246,15 +302,22 @@ def test_format_error_on_bad_tables(f1_index, name, value, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 2, 3, "4"])
+@pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, "5"])
 def test_other_or_missing_format_is_refused(f1_index, fmt):
     doc = structured_index_doc(f1_index)
-    assert doc["format"] == 4
+    assert doc["format"] == 5
     if fmt is None:
         del doc["format"]
     else:
         doc["format"] = fmt
     with pytest.raises(IndexFormatError, match="rebuild the index$"):
+        loads_index(json.dumps(doc))
+
+
+def test_occurrences_must_follow_shot_order(f1_index):
+    doc = structured_index_doc(f1_index)
+    doc["files"]["shot_of_occurrence"].reverse()
+    with pytest.raises(IndexFormatError, match=r"^files\.shot_of_occurrence must be ascending"):
         loads_index(json.dumps(doc))
 
 
@@ -266,9 +329,36 @@ def test_occurrence_must_map_to_exactly_one_shot(f1_index, shots):
         loads_index(json.dumps(doc))
 
 
-@pytest.mark.parametrize("name", ["dancers", "postures", "reflexions", "shot_of_occurrence"])
-def test_truncated_posting_file_is_refused(f1, f1_index, name):
-    # each occurrence appears exactly once in these files
+def _posts_one_less(name: str, table: str, entries: int) -> str:
+    return (
+        f"files.{name} must post each of the {entries} entries of files.{table} once, "
+        f"and posts {entries - 1}; rebuild the index"
+    )
+
+
+def _one_entry_each(name: str, table: str) -> str:
+    return f"files.{name} must hold one entry per entry of files.{table}"
+
+
+# f1 has 12 occurrences, 9 shots, 2 dancers and 6 step definitions.
+_TRUNCATIONS = [
+    *[(name, _posts_one_less(name, "shot_of_occurrence", 12))
+      for name in ("dancers", "postures", "reflexions", "steps", "step_classes")],
+    ("dancers_by_name", _posts_one_less("dancers_by_name", "dancer_ids", 2)),
+    ("step_defs_by_name", _posts_one_less("step_defs_by_name", "step_def_ids", 6)),
+    ("step_defs_by_class", _posts_one_less("step_defs_by_class", "step_def_ids", 6)),
+    # the first file checked against the truncated one reports it
+    ("shot_of_occurrence", _one_entry_each("dancer_of_occurrence", "shot_of_occurrence")),
+    ("dancer_of_occurrence", _one_entry_each("dancer_of_occurrence", "shot_of_occurrence")),
+    ("step_def_of_occurrence", _one_entry_each("step_def_of_occurrence", "shot_of_occurrence")),
+    *[(name, _one_entry_each(name, "shots"))
+      for name in ("scene_of_shot", "shot_order", "shot_starts", "shot_ends")],
+]
+
+
+@pytest.mark.parametrize("name, message", _TRUNCATIONS)
+def test_truncated_file_is_refused_without_the_corpus(f1, f1_index, name, message):
+    # the counts are checked against the index's own tables on loading
     table = getattr(f1_index, name)
     if isinstance(table, tuple):
         table = table[:-1]
@@ -277,10 +367,9 @@ def test_truncated_posting_file_is_refused(f1, f1_index, name):
         key = sorted(table)[0]
         table[key] = table[key][:-1]
     truncated = dataclasses.replace(f1_index, **{name: table})
-    with pytest.raises(IndexMismatchError, match=rf"^index files\.{name} posts \d+ "):
-        truncated.check_corpus(f1)
-    with pytest.raises(IndexMismatchError, match="rebuild the index$"):
-        IndexedEngine(f1, index=truncated)
+    with pytest.raises(IndexFormatError) as err:
+        loads_index(dumps_index(truncated))
+    assert str(err.value) == message
 
 
 def test_failed_save_keeps_the_previous_index_file(tmp_path, f1_index, disk_full):
@@ -296,7 +385,7 @@ def test_failed_save_keeps_the_previous_index_file(tmp_path, f1_index, disk_full
 def assert_index_text_matches_the_json_encoder(index):
     # the stdlib encoder is the oracle for the text, the parser for the content
     text = dumps_index(index)
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True) + "\n"
     assert loads_index(text) == index
 
 
@@ -310,14 +399,22 @@ def test_index_writer_matches_the_json_encoder_on_built_indexes(doc):
 
 @st.composite
 def _index_sets(draw):
-    """Index sets whose every ordinal indexes its table, drawn file by file
-    in field order, as the loader checks them."""
+    """Index sets whose every ordinal indexes its table and whose every
+    count holds, drawn file by file in field order, as the loader checks
+    them."""
     ids = st.lists(texts, max_size=4, unique=True).map(lambda values: tuple(sorted(values)))
     files: dict = {}
     for f in dataclasses.fields(IndexSet)[1:]:
-        of, depth, length_of = (f.metadata[k] for k in ("of", "depth", "length_of"))
+        of, depth, length_of, once_per = (
+            f.metadata[k] for k in ("of", "depth", "length_of", "once_per")
+        )
         if of is None:
             files[f.name] = draw(ids)
+            continue
+        if of == TICKS:
+            length = len(files[length_of])
+            files[f.name] = tuple(draw(st.lists(st.integers(0, 2**40), min_size=length,
+                                                max_size=length)))
             continue
         size = len(files[of])
         ordinals = st.integers(0, max(size - 1, 0))
@@ -326,11 +423,20 @@ def _index_sets(draw):
             assume(size or not length)
             files[f.name] = tuple(draw(st.lists(ordinals, min_size=length, max_size=length)))
             continue
+        if once_per is not None:
+            # every ordinal of the table posted under exactly one key
+            keys = draw(st.lists(texts, min_size=1 if size else 0, max_size=3, unique=True))
+            table: dict = {}
+            for ordinal in range(size):
+                table.setdefault(draw(st.sampled_from(keys)), []).append(ordinal)
+            files[f.name] = {key: tuple(postings) for key, postings in table.items()}
+            continue
         item = st.lists(ordinals, max_size=min(size, 3), unique=True).map(
             lambda v: tuple(sorted(v))
         )
         if depth == 0:
-            item = st.lists(ordinals, max_size=4 if size else 0).map(tuple)
+            # shot_of_occurrence, which ascends: occurrences follow shot order
+            item = st.lists(ordinals, max_size=4 if size else 0).map(lambda v: tuple(sorted(v)))
         for _ in range(depth):
             item = st.dictionaries(texts, item, max_size=2)
         files[f.name] = draw(item)
