@@ -30,9 +30,9 @@ import json
 import sys
 
 from .bench import BenchmarkMismatchError, format_bench_report, run_benchmark
-from .engine import IndexedEngine, SequentialScanEngine, UnknownNameError
+from .engine import IndexedEngine, SequentialScanEngine
 from .evaluation import FIXTURE_NAMES, format_eval_report, load_fixture, run_fixture_eval
-from .generator import GenParams, InfeasibleParamsError, generate_corpus
+from .generator import GenParams, generate_corpus
 from .index import (
     IndexFormatError,
     IndexMismatchError,
@@ -228,9 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     except QueryParseError as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return 1
-    except (UnknownNameError, InfeasibleParamsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BenchmarkMismatchError as exc:
         print(f"benchmark aborted: {exc}", file=sys.stderr)
         return 3
@@ -242,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusFormatError, IndexFormatError, IndexMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UnknownNameError, InfeasibleParamsError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

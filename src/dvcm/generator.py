@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -94,6 +95,8 @@ class GenParams:
             )
         if len(self.song_type_weights) != 6:
             raise InfeasibleParamsError("song_type_weights needs six entries")
+        if not math.isfinite(sum(self.song_type_weights)):
+            raise InfeasibleParamsError("song type weights and their sum must be finite")
         if any(w < 0 for w in self.song_type_weights):
             raise InfeasibleParamsError("song type weights must be non-negative")
         if not any(self.song_type_weights):

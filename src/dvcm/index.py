@@ -52,19 +52,18 @@ ascends, as occurrences are numbered in shot order. So an edited or
 truncated file fails with one line instead of a wrong answer; an edit that
 keeps those counts, ranges and that order is not detected. The file
 carries a ``"format"`` version beside ``"fingerprint"`` and ``"files"``; a
-file of any other format, or of none, is refused and must be rebuilt. Serialization is canonical (the text
-of ``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` and a
-newline), so building the same corpus twice yields byte-identical files.
+file of any other format, or of none, is refused and must be rebuilt.
+The file is the text of ``json.dumps(doc, separators=(",", ":"),
+sort_keys=True)`` and a newline, so building the same corpus twice yields
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _json_string
 from operator import le, lt
 
 from .model import Corpus, corpus_fingerprint, write_text_atomic
@@ -320,38 +319,14 @@ def _freeze(value):
     return tuple(value)
 
 
-def _write(value) -> str:
-    """A file, or a part of one, as compact JSON with sorted keys."""
-    if isinstance(value, dict):
-        entries = [f"{_json_string(key)}:{_write(value[key])}" for key in sorted(value)]
-        return "{" + ",".join(entries) + "}"
-    if not value:
-        return "[]"
-    items = map(_json_string if isinstance(value[0], str) else int.__repr__, value)
-    return "[" + ",".join(items) + "]"
-
-
-def index_chunks(index: IndexSet) -> Iterator[str]:
-    """The text of the index file, one file of the set to a chunk.
-
-    The text is that of ``json.dumps(document, separators=(",", ":"),
-    sort_keys=True)`` and a newline; building it here is faster than
-    through the C encoder, which sorts keys and checks types per value. The
-    chunks join to ``dumps_index``.
-    """
-    head = '{"files":{'
-    for name in sorted(f.name for f in _FILES):
-        yield f"{head}{_json_string(name)}:{_write(getattr(index, name))}"
-        head = ","
-    yield f'}},"fingerprint":{_json_string(index.fingerprint)},"format":{INDEX_FORMAT!r}}}\n'
-
-
 def dumps_index(index: IndexSet) -> str:
-    return "".join(index_chunks(index))
+    files = {f.name: getattr(index, f.name) for f in _FILES}
+    doc = {"files": files, "fingerprint": index.fingerprint, "format": INDEX_FORMAT}
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def save_index(index: IndexSet, path) -> None:
-    write_text_atomic(path, index_chunks(index))
+    write_text_atomic(path, (dumps_index(index),))
 
 
 def _load_file(name: str, value, spec, loaded: dict) -> object:
@@ -369,10 +344,6 @@ def _load_file(name: str, value, spec, loaded: dict) -> object:
             return tuple(item)
         if type(item) is not dict:
             raise IndexFormatError(f"{where} must be an object")
-        if depth == 1 and set(map(type, item.values())) <= {list}:
-            arrays.extend(item.values())
-            return dict(zip(item, map(tuple, item.values())))
-        # the slow path names the entry at fault
         return {key: collect(sub, depth - 1, f"{where}[{key!r}]") for key, sub in item.items()}
 
     frozen = collect(value, spec["depth"], f"files.{name}")
@@ -411,6 +382,8 @@ def loads_index(text: str) -> IndexSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IndexFormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise IndexFormatError("nested too deeply to decode") from None
     if not isinstance(doc, dict) or set(doc) - {"format"} != {"fingerprint", "files"}:
         raise IndexFormatError("expected an object with 'format', 'fingerprint' and 'files'")
     if doc.get("format") != INDEX_FORMAT:

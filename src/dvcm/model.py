@@ -756,8 +756,8 @@ def _array_parser(parse_item, order=None):
     return parse
 
 
-def write_strings(values, nl: str) -> str:
-    """A string array in the given order; the index writer uses it too."""
+def _write_strings(values, nl: str) -> str:
+    """A string array in the given order."""
     if not values:
         return "[]"
     inner = nl + "  "
@@ -849,10 +849,10 @@ _CODECS = {
     "str": (_str, lambda value, nl: _json_string(value)),
     "int": (_int, lambda value, nl: int.__repr__(value)),
     "datetime.date": (_date, lambda value, nl: _json_string(value.isoformat())),
-    "tuple[str, ...]": (_string_array(tuple), write_strings),
+    "tuple[str, ...]": (_string_array(tuple), _write_strings),
     "frozenset[str]": (
         _string_array(frozenset),
-        lambda values, nl: write_strings(sorted(values), nl),
+        lambda values, nl: _write_strings(sorted(values), nl),
     ),
 }
 _CODECS["TimeInterval"] = _record_codec(TimeInterval)
@@ -920,6 +920,8 @@ def loads_corpus(text: str) -> Corpus:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"line {exc.lineno}, col {exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise CorpusFormatError("$", "nested too deeply to decode") from None
     return parse_corpus_document(doc)
 
 

@@ -53,6 +53,11 @@ _GRAN_WORDS = {
 
 _TEMPORAL_NAMES = frozenset(DANCER_RELATIONS) | frozenset(ALLEN_RELATIONS)
 
+# The parser, the evaluators and the printer recurse once per nesting level
+# or per chained operator; this bound keeps them far below Python's
+# recursion limit.
+MAX_QUERY_TOKENS = 256
+
 
 class QueryParseError(Exception):
     def __init__(self, line: int, col: int, message: str):
@@ -220,6 +225,11 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
         self.i = 0
+        if len(self.tokens) > MAX_QUERY_TOKENS + 1:  # + the end-of-input token
+            tok = self.tokens[MAX_QUERY_TOKENS]
+            raise QueryParseError(
+                tok.line, tok.col, f"a query may hold at most {MAX_QUERY_TOKENS} tokens"
+            )
 
     @property
     def cur(self) -> _Token:

@@ -95,6 +95,22 @@ def test_validate_corpus_that_is_not_utf8(capsys, tmp_path):
     assert err == "error: byte 12: not UTF-8: invalid start byte\n"
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("command", ["validate", "query"])
+def test_deeply_nested_corpus_exits_2_with_one_line(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    argv = {
+        "validate": ["validate", str(path)],
+        "query": ["query", str(path), 'find shots where dancer = "Anitha"'],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: $: nested too deeply to decode\n"
+
+
 def test_validate_lists_every_violation(capsys, tmp_path):
     doc = small_doc()
     doc["dancers"][0]["age"] = -1
@@ -216,13 +232,42 @@ def test_query_error_wins_over_a_bad_corpus(capsys, monkeypatch, tmp_path, corpu
     assert err.startswith("query error: line 1, col 6") and err.count("\n") == 1
 
 
+def _long_query(joiner: str) -> str:
+    return "find shots where " + joiner.join(['dancer = "Anitha"'] * 3000)
+
+
+@pytest.mark.parametrize(
+    "text, index, col",
+    [
+        # nested parentheses, which the recursive-descent parser would follow
+        ("find shots where " + "(" * 3000 + 'dancer = "Anitha"' + ")" * 3000, False, 271),
+        # chains that the indexed and the scan evaluators would recurse over
+        (_long_query(" and "), True, 1411),
+        (_long_query(" or "), False, 1348),
+    ],
+    ids=["parentheses", "indexed-and-chain", "scan-or-chain"],
+)
+def test_query_over_the_token_limit_exits_1_with_one_line(
+    capsys, tmp_path, f1_path, text, index, col
+):
+    argv = ["query", f1_path, text]
+    if index:
+        index_path = str(tmp_path / "f1.index.json")
+        assert main(["index", f1_path, "-o", index_path]) == 0
+        argv += ["--index", index_path]
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"query error: line 1, col {col}: a query may hold at most 256 tokens\n"
+
+
 def test_query_unknown_dancer_name(capsys, f1_path):
     code, out, err = run_cli(
         capsys, "query", f1_path,
         'find shots where follows(dancer = "Anitha", dancer = "Ghost")',
     )
-    assert code == 1
-    assert "error:" in err and "ghost" in err
+    assert code == 1 and out == ""
+    assert err == "error: unknown dancer: 'ghost'\n"
 
 
 def test_query_with_stale_index(capsys, tmp_path):
@@ -253,6 +298,17 @@ def test_index_without_format_exits_2(capsys, tmp_path, f1_path):
     )
     assert code == 2
     assert err == "error: index format is missing, expected 5; rebuild the index\n"
+
+
+def test_deeply_nested_index_exits_2_with_one_line(capsys, tmp_path, f1_path):
+    index_path = tmp_path / "deep.index.json"
+    index_path.write_text(DEEP_JSON, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "query", f1_path, 'find shots where posture = "front"',
+        "--index", str(index_path),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: nested too deeply to decode\n"
 
 
 def test_index_that_is_not_utf8_exits_2(capsys, tmp_path, f1_path):
@@ -529,8 +585,17 @@ def test_gen_infeasible_parameters(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "gen", "--shots", "5", "--dancers", "0", "-o", str(tmp_path / "x.json")
     )
-    assert code == 1
-    assert "error:" in err
+    assert code == 1 and out == ""
+    assert err == "error: shots need at least one dancer\n"
+
+
+@pytest.mark.parametrize("weights", ["nan,1,1,1,1,1", "1,inf,1,1,1,1", "1e308,1e308,1,1,1,1"])
+def test_gen_refuses_weights_that_are_not_finite(capsys, tmp_path, weights):
+    output = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, "gen", "--shots", "50", "--weights", weights,
+                             "-o", str(output))
+    assert code == 1 and out == "" and not output.exists()
+    assert err == "error: song type weights and their sum must be finite\n"
 
 
 # --------------------------------------------------------------------------

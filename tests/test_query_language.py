@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvcm.engine import IndexedEngine, SequentialScanEngine
 from dvcm.model import SPATIAL_RELATIONS, Granularity
 from dvcm.normalize import normalize_key
 from dvcm.qlang import (
     FACETS,
+    MAX_QUERY_TOKENS,
     STEP_CLASS_TERMS,
     And,
     FacetAtom,
@@ -220,6 +222,32 @@ def test_parse_errors(text, line, col, fragment):
     assert fragment in str(err.value)
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value).startswith(f"line {line}, col {col}: ")
+
+
+ATOM = 'dancer = "Anitha"'  # three tokens
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # "find shots where" holds three tokens, each level two, the atom three
+        "(" * 125 + ATOM + ")" * 125,
+        "(" + " and ".join([ATOM] * 63) + ")",
+        "(" + " or ".join([ATOM] * 63) + ")",
+        "((" + " and (".join([ATOM] * 42) + ")" * 43,
+    ],
+    ids=["parentheses", "and-chain", "or-chain", "nested-and"],
+)
+def test_queries_at_the_token_limit_parse_print_and_evaluate(f1, body):
+    text = f"find shots where {body}"
+    query = parse_query(text)
+    assert parse_query(format_query(query)) == query
+    expected = SequentialScanEngine(f1).execute(query)
+    assert expected and IndexedEngine(f1).execute(query) == expected
+    with pytest.raises(QueryParseError) as err:
+        parse_query(f"{text} )")
+    assert (err.value.line, err.value.col) == (1, len(text) + 2)
+    assert str(err.value).endswith(f"at most {MAX_QUERY_TOKENS} tokens")
 
 
 def test_rel_call_arguments_are_order_insensitive_for_relation():
