@@ -6,71 +6,67 @@ and answers containment, temporal, spatial and spatiotemporal queries with
 interchangeable sequential and indexed engines. A harness generates seeded
 synthetic corpora, scores retrieval effectiveness, and benchmarks the two
 engines against each other.
+
+The public names below are imported from their modules on first access
+(PEP 562), so ``import dvcm`` loads no submodule and each command loads
+only the modules it runs.
 """
 
-from .engine import IndexedEngine, SequentialScanEngine, UnknownNameError
-from .evaluation import (
-    EvalReport,
-    EvalRow,
-    load_fixture,
-    precision_recall,
-    run_fixture_eval,
-)
-from .generator import GenParams, InfeasibleParamsError, generate_corpus
-from .index import IndexMismatchError, IndexSet, build_index, load_index, save_index
-from .model import (
-    Corpus,
-    CorpusFormatError,
-    Granularity,
-    IntegrityError,
-    UnknownIdError,
-    Violation,
-    corpus_fingerprint,
-    lift_granularity,
-    load_corpus,
-    save_corpus,
-    validate_corpus,
-)
-from .qlang import Query, QueryParseError, format_query, parse_query
-from .song_types import classify_song_type
-from .temporal import ALLEN_RELATIONS, DANCER_RELATIONS, allen_relation
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALLEN_RELATIONS",
-    "Corpus",
-    "CorpusFormatError",
-    "DANCER_RELATIONS",
-    "EvalReport",
-    "EvalRow",
-    "GenParams",
-    "Granularity",
-    "IndexMismatchError",
-    "IndexSet",
-    "IndexedEngine",
-    "InfeasibleParamsError",
-    "IntegrityError",
-    "Query",
-    "QueryParseError",
-    "SequentialScanEngine",
-    "UnknownIdError",
-    "UnknownNameError",
-    "Violation",
-    "allen_relation",
-    "build_index",
-    "classify_song_type",
-    "corpus_fingerprint",
-    "format_query",
-    "generate_corpus",
-    "lift_granularity",
-    "load_corpus",
-    "load_fixture",
-    "load_index",
-    "parse_query",
-    "precision_recall",
-    "run_fixture_eval",
-    "save_corpus",
-    "save_index",
-    "validate_corpus",
-]
+# Public name -> the module that defines it.
+_MODULE_OF = {
+    "ALLEN_RELATIONS": "temporal",
+    "Corpus": "model",
+    "CorpusFormatError": "vocab",
+    "DANCER_RELATIONS": "temporal",
+    "EvalReport": "evaluation",
+    "EvalRow": "evaluation",
+    "GenParams": "generator",
+    "Granularity": "vocab",
+    "IndexMismatchError": "vocab",
+    "IndexSet": "index",
+    "IndexedEngine": "engine",
+    "InfeasibleParamsError": "generator",
+    "IntegrityError": "vocab",
+    "Query": "qlang",
+    "QueryParseError": "vocab",
+    "SequentialScanEngine": "engine",
+    "UnknownIdError": "model",
+    "UnknownNameError": "engine",
+    "Violation": "model",
+    "allen_relation": "temporal",
+    "build_index": "index",
+    "classify_song_type": "model",
+    "corpus_fingerprint": "model",
+    "format_query": "qlang",
+    "generate_corpus": "generator",
+    "lift_granularity": "model",
+    "load_corpus": "model",
+    "load_fixture": "evaluation",
+    "load_index": "index",
+    "parse_query": "qlang",
+    "precision_recall": "evaluation",
+    "run_fixture_eval": "evaluation",
+    "save_corpus": "model",
+    "save_index": "index",
+    "validate_corpus": "model",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

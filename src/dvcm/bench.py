@@ -23,19 +23,9 @@ from .generator import CounterRng, GenParams, generate_corpus
 from .model import Corpus, Granularity
 from .normalize import normalize_key
 from .qlang import And, FacetAtom, Or, Query, format_query
+from .vocab import BenchmarkMismatchError
 
 _PAIRED_FACETS = ("step", "step_class", "posture", "reflexion")
-
-
-class BenchmarkMismatchError(Exception):
-    """The engines disagreed on a workload query."""
-
-    def __init__(self, size: int, query_text: str):
-        self.size = size
-        self.query_text = query_text
-        super().__init__(
-            f"engine mismatch on {size}-shot corpus for query: {query_text}"
-        )
 
 
 def collect_vocabulary(corpus: Corpus) -> dict[str, tuple[str, ...]]:

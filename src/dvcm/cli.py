@@ -20,6 +20,19 @@ not valid exits 2 with the fingerprint-mismatch line, not with the corpus
 error that the scan (``dvcm query`` without ``--index``) reports. A
 missing corpus file is reported before a bad index file, and a bad index
 file before a mismatch.
+
+Each command imports only the modules it runs. Besides ``dvcm`` itself
+and ``vocab``, which every command loads, they are:
+
+    validate        model, song_types
+    index           model, index, normalize
+    query --index   qlang, temporal, normalize, engine, index
+    query           the same and model, for the scan
+    gen             generator, model
+    bench           bench, generator, model, qlang, temporal, normalize,
+                    engine, index
+    eval            evaluation, model, qlang, temporal, normalize, engine,
+                    index
 """
 
 from __future__ import annotations
@@ -29,26 +42,17 @@ import gc
 import json
 import sys
 
-from .bench import BenchmarkMismatchError, format_bench_report, run_benchmark
-from .engine import IndexedEngine, SequentialScanEngine
-from .evaluation import FIXTURE_NAMES, format_eval_report, load_fixture, run_fixture_eval
-from .generator import GenParams, generate_corpus
-from .index import (
+# What parsing the arguments and mapping errors to exit codes needs; each
+# command imports the modules it runs.
+from .vocab import (
+    FIXTURE_NAMES,
+    BenchmarkMismatchError,
+    CorpusFormatError,
     IndexFormatError,
     IndexMismatchError,
-    build_index,
-    load_index,
-    save_index,
-)
-from .model import (
-    CorpusFormatError,
     IntegrityError,
-    corpus_file_fingerprint,
-    load_corpus,
-    save_corpus,
+    QueryParseError,
 )
-from .qlang import QueryParseError, parse_query
-from .song_types import song_type_of_compound_scene
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,6 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
+    from .model import load_corpus
+    from .song_types import song_type_of_compound_scene
+
     corpus = load_corpus(args.corpus)
     print(
         f"corpus OK: {len(corpus.videos)} video(s), {len(corpus.songs)} song(s), "
@@ -145,6 +152,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from .index import build_index, save_index
+    from .model import load_corpus
+
     corpus = load_corpus(args.corpus)
     index = build_index(corpus)
     save_index(index, args.output)
@@ -153,13 +163,22 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .qlang import parse_query
+
     query = parse_query(args.text)
     if args.index is not None:
+        from .engine import IndexedEngine
+        from .index import load_index
+        from .vocab import corpus_file_fingerprint
+
         fingerprint = corpus_file_fingerprint(args.corpus)
         index = load_index(args.index)
         index.check_fingerprint(fingerprint)
         engine = IndexedEngine(None, index)
     else:
+        from .engine import SequentialScanEngine
+        from .model import load_corpus
+
         engine = SequentialScanEngine(load_corpus(args.corpus))
     ids = engine.execute(query)
     if args.format == "json":
@@ -171,6 +190,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import GenParams, generate_corpus
+    from .model import save_corpus
+
     params = GenParams(
         n_shots=args.shots,
         n_dancers=args.dancers,
@@ -186,6 +208,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import format_bench_report, run_benchmark
+
     report = run_benchmark(
         sizes=args.sizes, n_queries=args.queries, seed=args.seed, reps=args.reps
     )
@@ -210,6 +234,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import format_eval_report, load_fixture, run_fixture_eval
+
     report = run_fixture_eval(load_fixture(args.fixture))
     print(format_eval_report(report))
     return 0

@@ -55,9 +55,9 @@ corpus, the indexed engine reads them from the index.
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
+from typing import TYPE_CHECKING
 
 from .index import IndexSet, build_index
-from .model import Corpus, Granularity, expand_scenes_to_shots, lift_granularity
 from .normalize import (
     expand_reflexion,
     load_synonym_table,
@@ -75,6 +75,12 @@ from .qlang import (
     parse_query,
 )
 from .temporal import corpus_performances, corpus_watching, relation_evaluator
+from .vocab import Granularity
+
+# The corpus model is imported only by the scan, which holds a corpus: an
+# engine over a saved index needs none of it.
+if TYPE_CHECKING:
+    from .model import Corpus
 
 # Facets that may pair with dancer= at the occurrence level.
 PAIRABLE_FACETS = frozenset({"step", "step_class", "posture", "reflexion"})
@@ -138,6 +144,8 @@ class _EngineBase:
         return shots
 
     def _lift(self, shots, granularity: Granularity) -> list[str]:
+        from .model import lift_granularity
+
         return lift_granularity(self.corpus, shots, granularity)
 
     def _eval_body(self, body) -> set:
@@ -284,6 +292,8 @@ class SequentialScanEngine(_EngineBase):
 
     def _facet_shots(self, facet: str, value: str) -> set[str]:
         if facet in ("background", "costume"):
+            from .model import expand_scenes_to_shots
+
             scene_ids = set()
             for scene in self.corpus.scenes.values():
                 if facet == "background":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .engine import IndexedEngine, SequentialScanEngine
 from .model import Corpus, loads_corpus
 from .qlang import parse_query
+from .vocab import FIXTURE_NAMES
 
 
 def precision_recall(retrieved: set[str], relevant: set[str]) -> tuple[float, float]:
@@ -86,8 +87,6 @@ FIXTURE_QUERIES: tuple[tuple[str, str, frozenset[str]], ...] = (
         frozenset({"sh2", "sh5"}),
     ),
 )
-
-FIXTURE_NAMES = ("f1",)
 
 
 def load_fixture(name: str = "f1") -> Corpus:

@@ -65,18 +65,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from operator import le, lt
+from typing import TYPE_CHECKING
 
-from .model import Corpus, corpus_fingerprint, write_text_atomic
 from .normalize import normalize_body_part, normalize_key
+from .vocab import IndexFormatError, IndexMismatchError
 
-
-class IndexMismatchError(Exception):
-    """The index was built from a different corpus state."""
-
-
-class IndexFormatError(Exception):
-    """The index file is not a valid serialized index set."""
-
+# The corpus model is imported only by the functions that build, check or
+# write an index: a query answered from a saved index needs none of it.
+if TYPE_CHECKING:
+    from .model import Corpus
 
 # Version of the index file layout and of the fingerprint it stores;
 # format 5 holds every fact a query reads, so no query needs the corpus.
@@ -155,6 +152,8 @@ class IndexSet:
 
     def check_corpus(self, corpus: Corpus) -> None:
         """Raise IndexMismatchError unless the index was built from this corpus."""
+        from .model import corpus_fingerprint
+
         self.check_fingerprint(corpus_fingerprint(corpus))
 
     # Format 3's reading of the index, kept only because the benchmark's
@@ -200,6 +199,8 @@ def build_index(corpus: Corpus, *, pinned: bool = True) -> IndexSet:
     computed: such a set serves an engine over this very corpus object, and
     matches no corpus file if it is saved.
     """
+    from .model import corpus_fingerprint
+
     shot_ids = sorted(corpus.shots)
     scene_ids = sorted(corpus.scenes)
     compound_scene_ids = sorted(corpus.compound_scenes)
@@ -326,6 +327,8 @@ def dumps_index(index: IndexSet) -> str:
 
 
 def save_index(index: IndexSet, path) -> None:
+    from .model import write_text_atomic
+
     write_text_atomic(path, (dumps_index(index),))
 
 

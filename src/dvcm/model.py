@@ -27,49 +27,33 @@ from __future__ import annotations
 
 import contextlib
 import datetime
-import enum
-import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter, itemgetter
 
-STEP_CLASSES = ("PY", "AD", "ASHA", "SHA", "CS")
+# Defined in vocab, so that a query answered from an index needs none of
+# this module; re-exported as part of the model.
+from .vocab import (
+    SONG_COMPONENTS,
+    SPATIAL_RELATIONS,
+    STEP_CLASSES,
+    CorpusFormatError,
+    Granularity,
+    IntegrityError,
+    _sha256,
+)
 
 # Body parts a PY step may use.
 PY_BODY_PARTS = frozenset(
     {"head", "eye", "eyebrow", "nose", "lips", "neck", "chest", "sides"}
 )
 
-SONG_COMPONENTS = ("PA", "AP", "SA", "CH")
-
-SPATIAL_RELATIONS = frozenset(
-    {"left_of", "right_of", "in_front_of", "behind", "near", "meets"}
-)
-
 # Seed posture vocabulary; postures and reflexions are open term sets.
 DEFAULT_POSTURES = ("front", "left", "right", "back")
-
-
-class Granularity(enum.Enum):
-    """Result level of a query: shot, scene or compound scene."""
-
-    SHOT = "shot"
-    SCENE = "scene"
-    COMPOUND_SCENE = "compound_scene"
-
-
-class CorpusFormatError(Exception):
-    """Raised when a corpus file is structurally malformed."""
-
-    def __init__(self, location: str, message: str):
-        self.location = location
-        self.message = message
-        super().__init__(f"{location}: {message}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +66,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.rule}] {self.entity_id}: {self.detail}"
-
-
-class IntegrityError(Exception):
-    """Raised by load_corpus when integrity rules fail; carries every violation."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        lines = "; ".join(str(v) for v in violations)
-        super().__init__(f"{len(violations)} integrity violation(s): {lines}")
 
 
 class UnknownIdError(LookupError):
@@ -335,6 +310,74 @@ def expand_scenes_to_shots(corpus: Corpus, scene_ids: set[str]) -> set[str]:
 
 
 # --------------------------------------------------------------------------
+# Song types
+#
+# A song is an ordered sequence of components: PA (pallavi), AP
+# (anupallavi), SA (saranam) and CH (chores). Six structures are recognized:
+#
+#     type 1: PA AP SA+            type 4: PA AP SA (CH SA)+
+#     type 2: PA SA+               type 5: PA SA (CH SA)+
+#     type 3: SA+                  type 6: SA (CH SA)+
+#
+# Types 4-6 are their plain counterpart with a chores block after every
+# saranam repetition. The six languages are pairwise disjoint, so a sequence
+# has at most one type.
+#
+# Classification runs a single left-to-right pass over the sequence through
+# a small DFA. The opening (PA AP | PA | nothing) fixes a family register
+# (1, 2 or 3) when the first SA arrives; the suffix after that first SA
+# decides plain (SA*) versus chores ((CH SA)+) and the final type is the
+# family, plus 3 for the chores variants. Validation checks every compound
+# scene against it, so it lives with the integrity rules.
+
+# DFA states. OPEN_* consume the optional PA / PA AP prefix, TAIL_* consume
+# the part from the first SA onward. DEAD is the sink for rejected input.
+_START = "start"
+_OPEN_PA = "after-pa"
+_OPEN_AP = "after-pa-ap"
+_TAIL_ONE_SA = "one-sa"
+_TAIL_MANY_SA = "many-sa"
+_TAIL_CHORES = "in-chores"
+_TAIL_CHORES_SA = "chores-closed"
+_DEAD = "dead"
+
+# state -> component -> state; missing entries go to _DEAD.
+_TRANSITIONS: dict[str, dict[str, str]] = {
+    _START: {"PA": _OPEN_PA, "SA": _TAIL_ONE_SA},
+    _OPEN_PA: {"AP": _OPEN_AP, "SA": _TAIL_ONE_SA},
+    _OPEN_AP: {"SA": _TAIL_ONE_SA},
+    _TAIL_ONE_SA: {"SA": _TAIL_MANY_SA, "CH": _TAIL_CHORES},
+    _TAIL_MANY_SA: {"SA": _TAIL_MANY_SA},
+    _TAIL_CHORES: {"SA": _TAIL_CHORES_SA},
+    _TAIL_CHORES_SA: {"CH": _TAIL_CHORES, "SA": _DEAD},
+    _DEAD: {},
+}
+
+# Family register fixed on the first SA: which prefix was consumed.
+_FAMILY_AT_FIRST_SA = {_START: 3, _OPEN_PA: 2, _OPEN_AP: 1}
+
+
+def classify_song_type(components: Iterable[str]) -> int | None:
+    """Song type (1..6) of a component sequence, or None if it matches none.
+
+    Raises ValueError for tokens outside PA/AP/SA/CH.
+    """
+    state = _START
+    family = 0
+    for comp in components:
+        if comp not in SONG_COMPONENTS:
+            raise ValueError(f"unknown song component: {comp!r}")
+        if state in _FAMILY_AT_FIRST_SA and comp == "SA":
+            family = _FAMILY_AT_FIRST_SA[state]
+        state = _TRANSITIONS[state].get(comp, _DEAD)
+    if state in (_TAIL_ONE_SA, _TAIL_MANY_SA):
+        return family
+    if state == _TAIL_CHORES_SA:
+        return family + 3
+    return None
+
+
+# --------------------------------------------------------------------------
 # Validation
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:
@@ -400,8 +443,6 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
                 bad("dangling-reference", video.id, f"compound scene {cid!r}")
             else:
                 video_owner_of_cscene.setdefault(cid, []).append(video.id)
-
-    from .song_types import classify_song_type  # local import: avoid cycle
 
     for cs in corpus.compound_scenes.values():
         if cs.video_id not in corpus.videos:
@@ -923,25 +964,6 @@ def loads_corpus(text: str) -> Corpus:
     except RecursionError:
         raise CorpusFormatError("$", "nested too deeply to decode") from None
     return parse_corpus_document(doc)
-
-
-def _sha256(blocks: Iterable[bytes]) -> str:
-    """The SHA-256 of the concatenated blocks: a corpus fingerprint."""
-    digest = hashlib.sha256()
-    for block in blocks:
-        digest.update(block)
-    return digest.hexdigest()
-
-
-def corpus_file_fingerprint(path) -> str:
-    """The fingerprint of a corpus file, read in blocks and never parsed.
-
-    An index is built only from a file that loads and validates, so a file
-    whose fingerprint matches an index needs no parsing or validation to be
-    answered from it.
-    """
-    with open(path, "rb") as fh:
-        return _sha256(iter(partial(fh.read, 1 << 20), b""))
 
 
 def load_corpus(path) -> Corpus:

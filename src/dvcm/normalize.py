@@ -42,8 +42,9 @@ def normalize_body_part(text: str) -> str:
 def load_synonym_table() -> dict[str, tuple[str, ...]]:
     """The active reflexion synonym table, normalized.
 
-    Reads DVCM_SYNONYMS when set; malformed JSON or a non-object document
-    raises ValueError rather than silently falling back.
+    Reads DVCM_SYNONYMS when set; malformed JSON, JSON nested too deeply to
+    decode or a non-object document raises ValueError rather than silently
+    falling back.
     """
     raw = os.environ.get(SYNONYMS_ENV_VAR)
     if raw is None:
@@ -52,6 +53,8 @@ def load_synonym_table() -> dict[str, tuple[str, ...]]:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{SYNONYMS_ENV_VAR} is not valid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{SYNONYMS_ENV_VAR} is nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{SYNONYMS_ENV_VAR} must be a JSON object")
     table: dict[str, tuple[str, ...]] = {}

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import SPATIAL_RELATIONS, STEP_CLASSES, Granularity
 from .normalize import normalize_key
 from .temporal import ALLEN_RELATIONS, DANCER_RELATIONS
+from .vocab import SPATIAL_RELATIONS, STEP_CLASSES, Granularity, QueryParseError
 
 FACETS = (
     "dancer",
@@ -57,13 +57,6 @@ _TEMPORAL_NAMES = frozenset(DANCER_RELATIONS) | frozenset(ALLEN_RELATIONS)
 # or per chained operator; this bound keeps them far below Python's
 # recursion limit.
 MAX_QUERY_TOKENS = 256
-
-
-class QueryParseError(Exception):
-    def __init__(self, line: int, col: int, message: str):
-        self.line = line
-        self.col = col
-        super().__init__(f"line {line}, col {col}: {message}")
 
 
 # --------------------------------------------------------------------------

@@ -1,74 +1,13 @@
-"""Song-type classification over component sequences.
+"""Song-type classification of compound scenes.
 
-A song is an ordered sequence of components: PA (pallavi), AP (anupallavi),
-SA (saranam) and CH (chores). Six structures are recognized:
-
-    type 1: PA AP SA+            type 4: PA AP SA (CH SA)+
-    type 2: PA SA+               type 5: PA SA (CH SA)+
-    type 3: SA+                  type 6: SA (CH SA)+
-
-Types 4-6 are their plain counterpart with a chores block after every
-saranam repetition. The six languages are pairwise disjoint, so a sequence
-has at most one type.
-
-Classification runs a single left-to-right pass over the sequence through a
-small DFA. The opening (PA AP | PA | nothing) fixes a family register
-(1, 2 or 3) when the first SA arrives; the suffix after that first SA
-decides plain (SA*) versus chores ((CH SA)+) and the final type is the
-family, plus 3 for the chores variants.
+The song grammar and ``classify_song_type`` live in ``model``, with the
+integrity rules that check every compound scene against them, so loading a
+corpus does not import this module. See ``model`` for the six song types.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-from .model import SONG_COMPONENTS
-
-# DFA states. OPEN_* consume the optional PA / PA AP prefix, TAIL_* consume
-# the part from the first SA onward. DEAD is the sink for rejected input.
-_START = "start"
-_OPEN_PA = "after-pa"
-_OPEN_AP = "after-pa-ap"
-_TAIL_ONE_SA = "one-sa"
-_TAIL_MANY_SA = "many-sa"
-_TAIL_CHORES = "in-chores"
-_TAIL_CHORES_SA = "chores-closed"
-_DEAD = "dead"
-
-# state -> component -> state; missing entries go to _DEAD.
-_TRANSITIONS: dict[str, dict[str, str]] = {
-    _START: {"PA": _OPEN_PA, "SA": _TAIL_ONE_SA},
-    _OPEN_PA: {"AP": _OPEN_AP, "SA": _TAIL_ONE_SA},
-    _OPEN_AP: {"SA": _TAIL_ONE_SA},
-    _TAIL_ONE_SA: {"SA": _TAIL_MANY_SA, "CH": _TAIL_CHORES},
-    _TAIL_MANY_SA: {"SA": _TAIL_MANY_SA},
-    _TAIL_CHORES: {"SA": _TAIL_CHORES_SA},
-    _TAIL_CHORES_SA: {"CH": _TAIL_CHORES, "SA": _DEAD},
-    _DEAD: {},
-}
-
-# Family register fixed on the first SA: which prefix was consumed.
-_FAMILY_AT_FIRST_SA = {_START: 3, _OPEN_PA: 2, _OPEN_AP: 1}
-
-
-def classify_song_type(components: Iterable[str]) -> int | None:
-    """Song type (1..6) of a component sequence, or None if it matches none.
-
-    Raises ValueError for tokens outside PA/AP/SA/CH.
-    """
-    state = _START
-    family = 0
-    for comp in components:
-        if comp not in SONG_COMPONENTS:
-            raise ValueError(f"unknown song component: {comp!r}")
-        if state in _FAMILY_AT_FIRST_SA and comp == "SA":
-            family = _FAMILY_AT_FIRST_SA[state]
-        state = _TRANSITIONS[state].get(comp, _DEAD)
-    if state in (_TAIL_ONE_SA, _TAIL_MANY_SA):
-        return family
-    if state == _TAIL_CHORES_SA:
-        return family + 3
-    return None
+from .model import classify_song_type
 
 
 def song_type_of_compound_scene(corpus, compound_scene_id: str) -> int | None:

@@ -43,8 +43,10 @@ re-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .model import Corpus, Scene, TimeInterval
+if TYPE_CHECKING:
+    from .model import Corpus, Scene, TimeInterval
 
 ALLEN_RELATIONS = (
     "before",

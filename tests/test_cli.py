@@ -11,7 +11,9 @@ import pytest
 from corpus_kit import small_doc
 from dvcm.bench import BenchmarkMismatchError
 import dvcm.cli
+import dvcm.index
 import dvcm.model
+import dvcm.vocab
 from dvcm.cli import main
 from dvcm.model import dumps_corpus, save_corpus
 
@@ -223,8 +225,12 @@ def test_query_error_wins_over_a_bad_corpus(capsys, monkeypatch, tmp_path, corpu
     if corpus == "corrupt":
         path.write_text("{nope", encoding="utf-8")
     loads = []
-    for name in ("load_corpus", "corpus_file_fingerprint", "load_index"):
-        monkeypatch.setattr(dvcm.cli, name, lambda path: loads.append(path))
+    for module, name in (
+        (dvcm.model, "load_corpus"),
+        (dvcm.vocab, "corpus_file_fingerprint"),
+        (dvcm.index, "load_index"),
+    ):
+        monkeypatch.setattr(module, name, lambda path: loads.append(path))
     code, out, err = run_cli(
         capsys, "query", str(path), "find nothing anywhere", "--index", str(path)
     )
@@ -268,6 +274,23 @@ def test_query_unknown_dancer_name(capsys, f1_path):
     )
     assert code == 1 and out == ""
     assert err == "error: unknown dancer: 'ghost'\n"
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+def test_deeply_nested_synonym_table_exits_1_with_one_line(
+    capsys, monkeypatch, tmp_path, f1_path, indexed
+):
+    argv = ["query", f1_path, 'find shots where reflexion = "happy"']
+    if indexed:
+        index_path = str(tmp_path / "f1.index.json")
+        assert main(["index", f1_path, "-o", index_path]) == 0
+        capsys.readouterr()
+        argv += ["--index", index_path]
+    monkeypatch.setenv("DVCM_SYNONYMS", "[" * 5000 + "]" * 5000)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: DVCM_SYNONYMS is nested too deeply to decode\n"
+    assert "Traceback" not in err
 
 
 def test_query_with_stale_index(capsys, tmp_path):
@@ -380,7 +403,6 @@ def test_indexed_query_never_parses_the_corpus(capsys, monkeypatch, tmp_path, f1
 
     for name in ("load_corpus", "loads_corpus", "parse_corpus_document"):
         monkeypatch.setattr(dvcm.model, name, refusing(name))
-        monkeypatch.setattr(dvcm.cli, name, refusing(name), raising=False)
     code, out, _ = run_cli(capsys, "query", f1_path, text, "--index", index_path)
     assert code == 0 and out == expected and out
     assert calls == []
@@ -564,13 +586,13 @@ def test_command_runs_with_the_gc_off_and_main_restores_it(
 ):
     path = {"f1": f1_path, "missing": str(tmp_path / "missing.json")}[corpus]
     seen = []
-    original = dvcm.cli.load_corpus
+    original = dvcm.model.load_corpus
 
     def recording(path):
         seen.append(gc.isenabled())
         return original(path)
 
-    monkeypatch.setattr(dvcm.cli, "load_corpus", recording)
+    monkeypatch.setattr(dvcm.model, "load_corpus", recording)
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -624,7 +646,7 @@ def test_bench_mismatch_exit_code(capsys, monkeypatch):
     def explode(**kwargs):
         raise BenchmarkMismatchError(10, 'find shots where posture = "x"')
 
-    monkeypatch.setattr("dvcm.cli.run_benchmark", explode)
+    monkeypatch.setattr("dvcm.bench.run_benchmark", explode)
     code, out, err = run_cli(capsys, "bench", "--sizes", "10")
     assert code == 3
     assert "benchmark aborted" in err

@@ -20,8 +20,8 @@ from dvcm.engine import (
     UnknownNameError,
 )
 from dvcm.generator import CounterRng, GenParams, generate_corpus
-import dvcm.index
 from dvcm.index import build_index, dumps_index, loads_index
+import dvcm.model
 from dvcm.model import SPATIAL_RELATIONS, Granularity, save_corpus
 from dvcm.normalize import normalize_key
 from dvcm.qlang import (
@@ -569,7 +569,7 @@ def test_indexed_engine_built_from_a_corpus_never_hashes_it(monkeypatch, f1):
     def refuse(corpus):
         raise AssertionError("the corpus was hashed")
 
-    monkeypatch.setattr(dvcm.index, "corpus_fingerprint", refuse)
+    monkeypatch.setattr(dvcm.model, "corpus_fingerprint", refuse)
     engine = IndexedEngine(dataclasses.replace(f1))
     assert engine.index.fingerprint == ""
     assert engine.execute_text('find shots where instrument = "Veena"') == ["sh1"]

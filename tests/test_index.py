@@ -15,7 +15,7 @@ from corpus_kit import (
     small_doc,
     texts,
 )
-import dvcm.index
+import dvcm.model
 from dvcm.engine import IndexedEngine
 from dvcm.index import (
     TICKS,
@@ -127,7 +127,7 @@ def test_unpinned_index_has_no_fingerprint(monkeypatch, f1, f1_index):
     def refuse(corpus):
         raise AssertionError("the corpus was hashed")
 
-    monkeypatch.setattr(dvcm.index, "corpus_fingerprint", refuse)
+    monkeypatch.setattr(dvcm.model, "corpus_fingerprint", refuse)
     unpinned = build_index(f1, pinned=False)
     assert unpinned == dataclasses.replace(f1_index, fingerprint="")
 
