@@ -27,6 +27,9 @@ from .vocab import BenchmarkMismatchError
 
 _PAIRED_FACETS = ("step", "step_class", "posture", "reflexion")
 
+# Depth of the deepest and/or tree a random containment query may hold.
+_MAX_QUERY_DEPTH = 3
+
 
 def collect_vocabulary(corpus: Corpus) -> dict[str, tuple[str, ...]]:
     """Facet terms worth querying for, harvested from the corpus."""
@@ -93,13 +96,13 @@ def _random_node(vocab: dict[str, tuple[str, ...]], rng: CounterRng, depth: int)
 
 
 def random_containment_query(
-    corpus_vocab: dict[str, tuple[str, ...]], rng: CounterRng, max_depth: int = 3
+    corpus_vocab: dict[str, tuple[str, ...]], rng: CounterRng
 ) -> Query:
     """One random containment query over the harvested vocabulary."""
     gran = rng.choice(
         (Granularity.SHOT, Granularity.SCENE, Granularity.COMPOUND_SCENE)
     )
-    body = _random_node(corpus_vocab, rng, rng.randint(0, max_depth))
+    body = _random_node(corpus_vocab, rng, rng.randint(0, _MAX_QUERY_DEPTH))
     return Query(gran, body)
 
 
@@ -154,16 +157,14 @@ def run_benchmark(
     n_queries: int = 50,
     seed: int = 0,
     reps: int = 30,
-    n_dancers: int | None = None,
-    n_step_defs: int | None = None,
 ) -> BenchReport:
     """Generate one corpus per size and race both engines on a shared workload.
 
     Index build time, that of ``IndexedEngine(corpus)``, which builds an
     unpinned index set and so never hashes the corpus, is measured
-    separately and reported per size, never folded into query latencies. Raises BenchmarkMismatchError as soon as
-    the engines disagree on any query. Catalog sizes scale with the corpus
-    unless pinned explicitly.
+    separately and reported per size, never folded into query latencies.
+    Raises BenchmarkMismatchError as soon as the engines disagree on any
+    query. Catalog sizes scale with the corpus (``catalog_size_for``).
     """
     if not sizes:
         raise ValueError("need at least one corpus size")
@@ -177,15 +178,9 @@ def run_benchmark(
     rows: list[BenchRow] = []
     builds: list[tuple[int, float]] = []
     for size in sorted(sizes):
+        catalog = catalog_size_for(size)
         corpus = generate_corpus(
-            GenParams(
-                n_shots=size,
-                n_dancers=n_dancers if n_dancers is not None else catalog_size_for(size),
-                n_step_defs=n_step_defs
-                if n_step_defs is not None
-                else catalog_size_for(size),
-                seed=seed,
-            )
+            GenParams(n_shots=size, n_dancers=catalog, n_step_defs=catalog, seed=seed)
         )
         start = time.perf_counter_ns()
         indexed = IndexedEngine(corpus)

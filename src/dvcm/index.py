@@ -83,20 +83,13 @@ INDEX_FORMAT = 5
 TICKS = "ticks"
 
 
-def _file(
-    of: str | None = None,
-    depth: int = 1,
-    length_of: str | None = None,
-    once_per: str | None = None,
-):
+def _file(of: str | None = None, depth: int = 1, count_of: str | None = None):
     """An index file: arrays of ordinals into the ``of`` file, under ``depth``
-    levels of objects; an ID table when ``of`` is None. A one-array map has
-    one entry per entry of ``length_of``; a file ``once_per`` a table posts
-    each of that table's entries exactly once, so it holds as many entries.
+    levels of objects; an ID table when ``of`` is None. A file with a
+    ``count_of`` holds as many entries as that table: a one-array map one per
+    entry, a posting file each of the table's entries exactly once.
     """
-    return field(
-        metadata={"of": of, "depth": depth, "length_of": length_of, "once_per": once_per}
-    )
+    return field(metadata={"of": of, "depth": depth, "count_of": count_of})
 
 
 _Postings = dict[str, tuple[int, ...]]
@@ -114,30 +107,30 @@ class IndexSet:
     step_def_ids: tuple[str, ...] = _file(depth=0)
     shot_of_occurrence: tuple[int, ...] = _file("shots", depth=0)
     dancer_of_occurrence: tuple[int, ...] = _file(
-        "dancer_ids", depth=0, length_of="shot_of_occurrence"
+        "dancer_ids", depth=0, count_of="shot_of_occurrence"
     )
     step_def_of_occurrence: tuple[int, ...] = _file(
-        "step_def_ids", depth=0, length_of="shot_of_occurrence"
+        "step_def_ids", depth=0, count_of="shot_of_occurrence"
     )
-    scene_of_shot: tuple[int, ...] = _file("scenes", depth=0, length_of="shots")
+    scene_of_shot: tuple[int, ...] = _file("scenes", depth=0, count_of="shots")
     compound_scene_of_scene: tuple[int, ...] = _file(
-        "compound_scenes", depth=0, length_of="scenes"
+        "compound_scenes", depth=0, count_of="scenes"
     )
-    shot_order: tuple[int, ...] = _file("shots", depth=0, length_of="shots")
-    shot_starts: tuple[int, ...] = _file(TICKS, depth=0, length_of="shots")
-    shot_ends: tuple[int, ...] = _file(TICKS, depth=0, length_of="shots")
-    dancers: _Postings = _file("shot_of_occurrence", once_per="shot_of_occurrence")
+    shot_order: tuple[int, ...] = _file("shots", depth=0, count_of="shots")
+    shot_starts: tuple[int, ...] = _file(TICKS, depth=0, count_of="shots")
+    shot_ends: tuple[int, ...] = _file(TICKS, depth=0, count_of="shots")
+    dancers: _Postings = _file("shot_of_occurrence", count_of="shot_of_occurrence")
     body_parts: _Postings = _file("shot_of_occurrence")
-    postures: _Postings = _file("shot_of_occurrence", once_per="shot_of_occurrence")
-    reflexions: _Postings = _file("shot_of_occurrence", once_per="shot_of_occurrence")
+    postures: _Postings = _file("shot_of_occurrence", count_of="shot_of_occurrence")
+    reflexions: _Postings = _file("shot_of_occurrence", count_of="shot_of_occurrence")
     instruments: _Postings = _file("shot_of_occurrence")
-    steps: _Postings = _file("shot_of_occurrence", once_per="shot_of_occurrence")
-    step_classes: _Postings = _file("shot_of_occurrence", once_per="shot_of_occurrence")
+    steps: _Postings = _file("shot_of_occurrence", count_of="shot_of_occurrence")
+    step_classes: _Postings = _file("shot_of_occurrence", count_of="shot_of_occurrence")
     backgrounds: _Postings = _file("scenes")
     costumes: _Postings = _file("scenes")
-    dancers_by_name: _Postings = _file("dancer_ids", once_per="dancer_ids")
-    step_defs_by_name: _Postings = _file("step_def_ids", once_per="step_def_ids")
-    step_defs_by_class: _Postings = _file("step_def_ids", once_per="step_def_ids")
+    dancers_by_name: _Postings = _file("dancer_ids", count_of="dancer_ids")
+    step_defs_by_name: _Postings = _file("step_def_ids", count_of="step_def_ids")
+    step_defs_by_class: _Postings = _file("step_def_ids", count_of="step_def_ids")
     observer_shots: _Postings = _file("shots")
     spatial: dict[str, dict[str, _Postings]] = _file("shots", depth=3)
     spatial_performing: dict[str, dict[str, _Postings]] = _file("shots", depth=3)
@@ -171,7 +164,6 @@ class IndexSet:
 
 
 _FILES = tuple(f for f in fields(IndexSet) if f.name != "fingerprint")
-_POSTING_FILES = tuple(f.name for f in _FILES if f.metadata["depth"])
 
 
 def _post(table: dict[str, list[int]], key: str, ordinal: int) -> None:
@@ -366,16 +358,15 @@ def _load_file(name: str, value, spec, loaded: dict) -> object:
             raise IndexFormatError(
                 f"files.{name} must hold integer ordinals into files.{of}, from 0 to {size - 1}"
             )
-    length_of = spec["length_of"]
-    if length_of is not None and len(entries) != len(loaded[length_of]):
+    count_of = spec["count_of"]
+    if count_of is not None and len(entries) != len(loaded[count_of]):
+        if spec["depth"] == 0:
+            raise IndexFormatError(
+                f"files.{name} must hold one entry per entry of files.{count_of}"
+            )
         raise IndexFormatError(
-            f"files.{name} must hold one entry per entry of files.{length_of}"
-        )
-    once_per = spec["once_per"]
-    if once_per is not None and len(entries) != len(loaded[once_per]):
-        raise IndexFormatError(
-            f"files.{name} must post each of the {len(loaded[once_per])} entries of "
-            f"files.{once_per} once, and posts {len(entries)}; rebuild the index"
+            f"files.{name} must post each of the {len(loaded[count_of])} entries of "
+            f"files.{count_of} once, and posts {len(entries)}; rebuild the index"
         )
     return frozen
 

@@ -69,11 +69,8 @@ def load_synonym_table() -> dict[str, tuple[str, ...]]:
     return table
 
 
-def expand_reflexion(
-    term: str, table: dict[str, tuple[str, ...]] | None = None
-) -> frozenset[str]:
-    """All reflexion keys a query term stands for: the term plus synonyms."""
+def expand_reflexion(term: str, table: dict[str, tuple[str, ...]]) -> frozenset[str]:
+    """All reflexion keys a query term stands for, the term plus its synonyms
+    in ``table`` (see ``load_synonym_table``)."""
     key = normalize_key(term)
-    if table is None:
-        table = load_synonym_table()
     return frozenset({key, *table.get(key, ())})

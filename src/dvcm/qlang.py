@@ -17,15 +17,23 @@ optional step= or step_class= constraint) and "spatial" (two dancer=
 arguments, a relation= argument, optional performing=). A body of two
 relCalls joined by "and" must pair one temporal call with one spatial call.
 
+The lexer reads the text with one regular expression. Whitespace separates
+tokens. A word is a letter or "_" followed by letters, digits and "_"; a
+string is double-quoted and on one line, and a backslash in it escapes
+only a double quote or a backslash; a string left open (by a line end,
+the end of the text or a final backslash) is an error. "=", "(", ")" and
+"," stand alone, and any other character is an error. Tokens record their
+offset in the text; an error turns it into a line and a column.
+
 "and" binds tighter than "or"; parentheses group. Facet values are
 normalized (casefold, whitespace collapse) while parsing, so two spellings
-of a term produce equal ASTs. Atom positions are kept for diagnostics but
-excluded from equality, and printing an AST re-parses to an equal AST.
+of a term produce equal ASTs, and printing an AST re-parses to an equal AST.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .normalize import normalize_key
 from .temporal import ALLEN_RELATIONS, DANCER_RELATIONS
@@ -67,21 +75,18 @@ MAX_QUERY_TOKENS = 256
 class FacetAtom:
     facet: str
     value: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class And:
     left: "Node"
     right: "Node"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Or:
     left: "Node"
     right: "Node"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,6 @@ class TemporalRel:
     dancer_b: str
     step: str | None = None
     step_class: str | None = None
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,6 @@ class SpatialRel:
     dancer_a: str
     dancer_b: str
     performing: bool = False
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,6 @@ class SpatioTemporal:
 
     first: "TemporalRel | SpatialRel"
     second: "TemporalRel | SpatialRel"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 Node = FacetAtom | And | Or
@@ -127,87 +129,52 @@ class Query:
 # --------------------------------------------------------------------------
 # Lexer
 
+# A token is (kind, value, offset), kind one of ident, string, punct, eof.
+_Tok = tuple[str, str, int]
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | string | punct | eof
-    value: str
-    line: int
-    col: int
+# One match per token, after any whitespace. A string's closing quote is
+# optional so that a string left open still matches, up to where it stops;
+# a character that starts no token matches as "bad".
+_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<punct>[=(),])
+      | (?P<string>"(?:[^"\\\n]|\\["\\])*(?P<close>")?)
+      | (?P<ident>\w+)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
 
-    def describe(self) -> str:
-        if self.kind == "eof":
-            return "end of input"
-        if self.kind == "string":
-            return f'"{self.value}"'
-        return repr(self.value)
+
+def _error(text: str, offset: int, message: str) -> QueryParseError:
+    """An error at the line and column of an offset into the text."""
+    line = text.count("\n", 0, offset) + 1
+    return QueryParseError(line, offset - text.rfind("\n", 0, offset), message)
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "=(),":
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf: list[str] = []
-            while i < n and text[i] != '"':
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        break
-                    nxt = text[i + 1]
-                    if nxt not in ('"', "\\"):
-                        raise QueryParseError(
-                            line, col, f"unknown escape sequence \\{nxt}"
-                        )
-                    buf.append(nxt)
-                    i += 2
-                    col += 2
-                    continue
-                if c == "\n":
-                    raise QueryParseError(
-                        start_line, start_col, "unterminated string"
-                    )
-                buf.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise QueryParseError(start_line, start_col, "unterminated string")
-            i += 1  # closing quote
-            col += 1
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise QueryParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _lex(text: str) -> list[_Tok]:
+    tokens: list[_Tok] = []
+    end = 0
+    while True:
+        m = _TOKEN.match(text, end)
+        kind = m.lastgroup
+        value, offset, end = m[kind], m.start(kind), m.end()
+        if kind == "string":
+            if m["close"] is None:
+                # the body stopped at a line end, the end of the text or a
+                # backslash that escapes neither '"' nor '\'
+                if text.startswith("\\", end) and end + 1 < len(text):
+                    raise _error(text, end, f"unknown escape sequence \\{text[end + 1]}")
+                raise _error(text, offset, "unterminated string")
+            # the body holds only \" and \\ escapes, so undoing \" first
+            # cannot split a \\ pair
+            value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        elif kind == "bad" or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
+            raise _error(text, offset, f"unexpected character {value[0]!r}")
+        tokens.append((kind, value, offset))
+        if kind == "eof":
+            return tokens
 
 
 # --------------------------------------------------------------------------
@@ -216,177 +183,156 @@ def _lex(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.i = 0
         if len(self.tokens) > MAX_QUERY_TOKENS + 1:  # + the end-of-input token
-            tok = self.tokens[MAX_QUERY_TOKENS]
-            raise QueryParseError(
-                tok.line, tok.col, f"a query may hold at most {MAX_QUERY_TOKENS} tokens"
+            raise self.error(
+                self.tokens[MAX_QUERY_TOKENS],
+                f"a query may hold at most {MAX_QUERY_TOKENS} tokens",
             )
 
     @property
-    def cur(self) -> _Token:
+    def cur(self) -> _Tok:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> _Tok:
         tok = self.cur
         self.i += 1
         return tok
 
+    def error(self, tok: _Tok, message: str) -> QueryParseError:
+        return _error(self.text, tok[2], message)
+
     def fail(self, expected: str) -> QueryParseError:
+        kind, value, _ = tok = self.cur
+        if kind == "eof":
+            found = "end of input"
+        elif kind == "string":
+            found = f'"{value}"'
+        else:
+            found = repr(value)
+        return self.error(tok, f"expected {expected}, found {found}")
+
+    def expect(self, kind: str, value: str | None = None) -> _Tok:
+        """Consume a token of this kind and, unless None, this value."""
         tok = self.cur
-        return QueryParseError(
-            tok.line, tok.col, f"expected {expected}, found {tok.describe()}"
-        )
-
-    def expect_word(self, word: str) -> _Token:
-        if self.cur.kind == "ident" and self.cur.value == word:
-            return self.advance()
-        raise self.fail(f"'{word}'")
-
-    def expect_punct(self, ch: str) -> _Token:
-        if self.cur.kind == "punct" and self.cur.value == ch:
-            return self.advance()
-        raise self.fail(f"'{ch}'")
-
-    def expect_string(self) -> _Token:
-        if self.cur.kind == "string":
-            return self.advance()
-        raise self.fail("a quoted string")
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            raise self.fail("a quoted string" if value is None else f"'{value}'")
+        self.i += 1
+        return tok
 
     def at_word(self, word: str) -> bool:
-        return self.cur.kind == "ident" and self.cur.value == word
+        return self.cur[:2] == ("ident", word)
 
     def parse_query(self) -> Query:
-        self.expect_word("find")
-        if self.cur.kind != "ident" or self.cur.value not in _GRAN_WORDS:
+        self.expect("ident", "find")
+        if self.cur[0] != "ident" or self.cur[1] not in _GRAN_WORDS:
             raise self.fail("'shots', 'scenes' or 'cscenes'")
-        gran = _GRAN_WORDS[self.advance().value]
-        self.expect_word("where")
+        gran = _GRAN_WORDS[self.advance()[1]]
+        self.expect("ident", "where")
         body = self.parse_body()
-        if self.cur.kind != "eof":
+        if self.cur[0] != "eof":
             raise self.fail("end of input")
         return Query(gran, body)
 
     def parse_body(self) -> Body:
         # A relation call looks like NAME "(", an atom like FACET "=".
-        if (
-            self.cur.kind == "ident"
-            and self.tokens[self.i + 1].kind == "punct"
-            and self.tokens[self.i + 1].value == "("
-        ):
+        if self.cur[0] == "ident" and self.tokens[self.i + 1][:2] == ("punct", "("):
             first = self.parse_rel_call()
             if not self.at_word("and"):
                 return first
             and_tok = self.advance()
             second = self.parse_rel_call()
-            kinds = {type(first), type(second)}
-            if kinds != {TemporalRel, SpatialRel}:
-                raise QueryParseError(
-                    and_tok.line,
-                    and_tok.col,
+            if {type(first), type(second)} != {TemporalRel, SpatialRel}:
+                raise self.error(
+                    and_tok,
                     "a relation conjunction must pair one temporal call "
                     "with one spatial call",
                 )
             if self.at_word("and"):
-                raise QueryParseError(
-                    self.cur.line, self.cur.col,
-                    "at most two relation calls may be joined",
-                )
-            return SpatioTemporal(first, second, pos=(and_tok.line, and_tok.col))
+                raise self.error(self.cur, "at most two relation calls may be joined")
+            return SpatioTemporal(first, second)
         return self.parse_or()
 
     def parse_or(self) -> Node:
         node = self.parse_and()
         while self.at_word("or"):
-            tok = self.advance()
-            right = self.parse_and()
-            node = Or(node, right, pos=(tok.line, tok.col))
+            self.advance()
+            node = Or(node, self.parse_and())
         return node
 
     def parse_and(self) -> Node:
         node = self.parse_atom()
         while self.at_word("and"):
-            tok = self.advance()
-            right = self.parse_atom()
-            node = And(node, right, pos=(tok.line, tok.col))
+            self.advance()
+            node = And(node, self.parse_atom())
         return node
 
     def parse_atom(self) -> Node:
-        tok = self.cur
-        if tok.kind == "punct" and tok.value == "(":
+        kind, facet, _ = self.cur
+        if (kind, facet) == ("punct", "("):
             self.advance()
             node = self.parse_or()
-            self.expect_punct(")")
+            self.expect("punct", ")")
             return node
-        if tok.kind == "ident":
-            if tok.value not in FACETS:
-                raise self.fail("a facet name or '('")
-            self.advance()
-            self.expect_punct("=")
-            value_tok = self.expect_string()
-            value = normalize_key(value_tok.value)
-            if tok.value == "step_class" and value not in STEP_CLASS_TERMS:
-                raise QueryParseError(
-                    value_tok.line,
-                    value_tok.col,
-                    f"unknown step class {value_tok.value!r}; "
-                    f"expected one of {list(STEP_CLASS_TERMS)}",
-                )
-            return FacetAtom(tok.value, value, pos=(tok.line, tok.col))
-        raise self.fail("a facet name or '('")
+        if kind != "ident" or facet not in FACETS:
+            raise self.fail("a facet name or '('")
+        self.advance()
+        self.expect("punct", "=")
+        value_tok = self.expect("string")
+        value = normalize_key(value_tok[1])
+        if facet == "step_class" and value not in STEP_CLASS_TERMS:
+            raise self.error(
+                value_tok,
+                f"unknown step class {value_tok[1]!r}; "
+                f"expected one of {list(STEP_CLASS_TERMS)}",
+            )
+        return FacetAtom(facet, value)
 
     def parse_rel_call(self) -> TemporalRel | SpatialRel:
-        if self.cur.kind != "ident":
+        if self.cur[0] != "ident":
             raise self.fail("a relation name")
         name_tok = self.advance()
-        name = name_tok.value
+        name = name_tok[1]
         if name != "spatial" and name not in _TEMPORAL_NAMES:
-            raise QueryParseError(
-                name_tok.line, name_tok.col, f"unknown relation {name!r}"
-            )
-        self.expect_punct("(")
-        args: list[tuple[str, str, _Token]] = []
+            raise self.error(name_tok, f"unknown relation {name!r}")
+        self.expect("punct", "(")
+        args: list[tuple[str, str, _Tok]] = []
         while True:
-            if self.cur.kind != "ident":
+            if self.cur[0] != "ident":
                 raise self.fail("an argument name")
             arg_tok = self.advance()
-            self.expect_punct("=")
-            val_tok = self.expect_string()
-            args.append((arg_tok.value, val_tok.value, arg_tok))
-            if self.cur.kind == "punct" and self.cur.value == ",":
-                self.advance()
-                continue
-            break
-        self.expect_punct(")")
-        pos = (name_tok.line, name_tok.col)
+            self.expect("punct", "=")
+            args.append((arg_tok[1], self.expect("string")[1], arg_tok))
+            if self.cur[:2] != ("punct", ","):
+                break
+            self.advance()
+        self.expect("punct", ")")
         if name == "spatial":
-            return self._build_spatial(args, pos)
-        return self._build_temporal(name, args, pos)
+            return self._build_spatial(args, name_tok)
+        return self._build_temporal(name, args, name_tok)
 
     def _take_dancers(
-        self, args: list[tuple[str, str, _Token]], pos: tuple[int, int]
-    ) -> tuple[str, str, list[tuple[str, str, _Token]]]:
+        self, args: list[tuple[str, str, _Tok]], name_tok: _Tok
+    ) -> tuple[str, str, list[tuple[str, str, _Tok]]]:
         dancers = [a for a in args if a[0] == "dancer"]
         rest = [a for a in args if a[0] != "dancer"]
         if len(dancers) != 2:
-            raise QueryParseError(
-                pos[0], pos[1],
+            raise self.error(
+                name_tok,
                 f"a relation call needs exactly two dancer= arguments, got {len(dancers)}",
             )
         dancer_a = normalize_key(dancers[0][1])
         dancer_b = normalize_key(dancers[1][1])
         if dancer_a == dancer_b:
-            tok = dancers[1][2]
-            raise QueryParseError(
-                tok.line, tok.col, "the two dancer= arguments must differ"
-            )
+            raise self.error(dancers[1][2], "the two dancer= arguments must differ")
         return dancer_a, dancer_b, rest
 
     def _build_temporal(
-        self, name: str, args: list[tuple[str, str, _Token]], pos: tuple[int, int]
+        self, name: str, args: list[tuple[str, str, _Tok]], name_tok: _Tok
     ) -> TemporalRel:
-        dancer_a, dancer_b, rest = self._take_dancers(args, pos)
+        dancer_a, dancer_b, rest = self._take_dancers(args, name_tok)
         step: str | None = None
         step_class: str | None = None
         for arg_name, value, tok in rest:
@@ -395,49 +341,38 @@ class _Parser:
             elif arg_name == "step_class" and step is None and step_class is None:
                 step_class = normalize_key(value)
                 if step_class not in STEP_CLASS_TERMS:
-                    raise QueryParseError(
-                        tok.line, tok.col, f"unknown step class {value!r}"
-                    )
+                    raise self.error(tok, f"unknown step class {value!r}")
             elif arg_name in ("step", "step_class"):
-                raise QueryParseError(
-                    tok.line, tok.col, "at most one step= or step_class= constraint"
-                )
+                raise self.error(tok, "at most one step= or step_class= constraint")
             else:
-                raise QueryParseError(
-                    tok.line, tok.col,
-                    f"unknown argument {arg_name!r} for {name}()",
-                )
-        return TemporalRel(name, dancer_a, dancer_b, step, step_class, pos=pos)
+                raise self.error(tok, f"unknown argument {arg_name!r} for {name}()")
+        return TemporalRel(name, dancer_a, dancer_b, step, step_class)
 
     def _build_spatial(
-        self, args: list[tuple[str, str, _Token]], pos: tuple[int, int]
+        self, args: list[tuple[str, str, _Tok]], name_tok: _Tok
     ) -> SpatialRel:
-        dancer_a, dancer_b, rest = self._take_dancers(args, pos)
+        dancer_a, dancer_b, rest = self._take_dancers(args, name_tok)
         relation: str | None = None
         performing = False
         for arg_name, value, tok in rest:
             if arg_name == "relation" and relation is None:
                 relation = normalize_key(value)
                 if relation not in SPATIAL_RELATIONS:
-                    raise QueryParseError(
-                        tok.line, tok.col,
+                    raise self.error(
+                        tok,
                         f"unknown spatial relation {value!r}; expected one of "
                         f"{sorted(SPATIAL_RELATIONS)}",
                     )
             elif arg_name == "performing":
                 norm = normalize_key(value)
                 if norm not in ("true", "false"):
-                    raise QueryParseError(
-                        tok.line, tok.col, "performing= must be \"true\" or \"false\""
-                    )
+                    raise self.error(tok, "performing= must be \"true\" or \"false\"")
                 performing = norm == "true"
             else:
-                raise QueryParseError(
-                    tok.line, tok.col, f"unknown argument {arg_name!r} for spatial()"
-                )
+                raise self.error(tok, f"unknown argument {arg_name!r} for spatial()")
         if relation is None:
-            raise QueryParseError(pos[0], pos[1], "spatial() needs a relation= argument")
-        return SpatialRel(relation, dancer_a, dancer_b, performing, pos=pos)
+            raise self.error(name_tok, "spatial() needs a relation= argument")
+        return SpatialRel(relation, dancer_a, dancer_b, performing)
 
 
 def parse_query(text: str) -> Query:

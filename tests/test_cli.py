@@ -218,6 +218,19 @@ def test_query_parse_error(capsys, f1_path):
     assert err.startswith("query error: line 1, col 6")
 
 
+@pytest.mark.parametrize("index", [False, True])
+def test_string_ending_in_a_backslash_exits_1_with_one_line(capsys, tmp_path, f1_path, index):
+    argv = ["query", f1_path, 'find shots where dancer = "Anitha\\']
+    if index:
+        index_path = str(tmp_path / "f1.index.json")
+        assert main(["index", f1_path, "-o", index_path]) == 0
+        argv += ["--index", index_path]
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "query error: line 1, col 27: unterminated string\n"
+
+
 @pytest.mark.parametrize("corpus", ["missing", "corrupt"])
 def test_query_error_wins_over_a_bad_corpus(capsys, monkeypatch, tmp_path, corpus):
     # the query is parsed before any file is read

@@ -3,7 +3,6 @@
 import pytest
 
 from dvcm.bench import (
-    BenchReport,
     catalog_size_for,
     collect_vocabulary,
     format_bench_report,
@@ -273,8 +272,3 @@ def test_benchmark_smoke():
 def test_benchmark_rejects_degenerate_settings(kwargs):
     with pytest.raises(ValueError):
         run_benchmark(**kwargs)
-
-
-def test_benchmark_pins_catalog_sizes_when_asked():
-    report = run_benchmark([12], n_queries=2, seed=2, reps=1, n_dancers=3, n_step_defs=4)
-    assert isinstance(report, BenchReport)

@@ -405,25 +405,23 @@ def _index_sets(draw):
     ids = st.lists(texts, max_size=4, unique=True).map(lambda values: tuple(sorted(values)))
     files: dict = {}
     for f in dataclasses.fields(IndexSet)[1:]:
-        of, depth, length_of, once_per = (
-            f.metadata[k] for k in ("of", "depth", "length_of", "once_per")
-        )
+        of, depth, count_of = (f.metadata[k] for k in ("of", "depth", "count_of"))
         if of is None:
             files[f.name] = draw(ids)
             continue
         if of == TICKS:
-            length = len(files[length_of])
+            length = len(files[count_of])
             files[f.name] = tuple(draw(st.lists(st.integers(0, 2**40), min_size=length,
                                                 max_size=length)))
             continue
         size = len(files[of])
         ordinals = st.integers(0, max(size - 1, 0))
-        if length_of is not None:
-            length = len(files[length_of])
+        if count_of is not None and depth == 0:
+            length = len(files[count_of])
             assume(size or not length)
             files[f.name] = tuple(draw(st.lists(ordinals, min_size=length, max_size=length)))
             continue
-        if once_per is not None:
+        if count_of is not None:
             # every ordinal of the table posted under exactly one key
             keys = draw(st.lists(texts, min_size=1 if size else 0, max_size=3, unique=True))
             table: dict = {}

@@ -1,5 +1,7 @@
 """Query text: lexing, parsing, diagnostics, and the canonical printer."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,7 +84,27 @@ def test_position_does_not_affect_equality():
     compact = parse_query('find shots where dancer = "a" and posture = "b"')
     spread = parse_query('find   shots\n  where\n dancer = "a"\n and posture = "b"')
     assert compact == spread
-    assert compact.body.pos != spread.body.pos
+
+
+def test_parsed_nodes_are_hashable_and_immutable():
+    texts = [
+        'find shots where (dancer = "a" or posture = "b") and costume = "c"',
+        'find scenes where follows(dancer = "a", dancer = "b", step = "x")'
+        ' and spatial(dancer = "a", dancer = "b", relation = "near")',
+    ]
+    for text in texts:
+        query = parse_query(text)
+        again = parse_query(text.replace(" ", "  "))
+        assert query == again and hash(query) == hash(again)
+        nodes = [query, query.body]
+        while nodes:
+            node = nodes.pop()
+            hash(node)
+            field = dataclasses.fields(node)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, None)
+            nodes += [child for child in vars(node).values() if dataclasses.is_dataclass(child)]
+    assert len({parse_query(texts[0]), parse_query(texts[0]), parse_query(texts[1])}) == 2
 
 
 def test_string_escapes():
@@ -146,6 +168,7 @@ def test_spatiotemporal_keeps_written_order():
         ('find shots where dancer "x"', 1, 25, "expected '='"),
         ("find shots\nwhere dancer = oops", 2, 16, "a quoted string"),
         ('find shots where dancer = "x', 1, 27, "unterminated string"),
+        ('find shots where dancer = "x\\', 1, 27, "unterminated string"),
         ('find shots where dancer = "x\\n"', 1, 29, "unknown escape"),
         ('find shots where dancer = "x" !', 1, 31, "unexpected character"),
         ('find shots where dancer = "x" dancer = "y"', 1, 31, "expected end of input"),
@@ -222,6 +245,38 @@ def test_parse_errors(text, line, col, fragment):
     assert fragment in str(err.value)
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value).startswith(f"line {line}, col {col}: ")
+
+
+SAMPLE_TEXTS = [
+    'find shots where dancer = "Anitha" and (costume = "a \\" b \\\\ c" or posture = "x")',
+    'find scenes where follows(dancer = "a", dancer = "b", step_class = "py")',
+    'find cscenes where spatial(dancer = "a", dancer = "b", relation = "near")'
+    ' and\nmeets(dancer = "a", dancer = "b", step = "x")',
+]
+# characters that end, escape or break a string, or lie beyond the BMP
+TROUBLE = ['"', "\\", "\n", "\U0001d518", "\U0001f600", "\u00b2"]
+
+
+@st.composite
+def damaged_texts(draw):
+    text = draw(st.sampled_from(SAMPLE_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(TROUBLE)) + text[at:]
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@given(st.text() | damaged_texts())
+@settings(max_examples=400)
+def test_any_text_parses_or_raises_a_located_parse_error(text):
+    try:
+        parse_query(text)
+    except QueryParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.col <= len(lines[err.line - 1]) + 1
 
 
 ATOM = 'dancer = "Anitha"'  # three tokens
