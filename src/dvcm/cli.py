@@ -18,8 +18,10 @@ the index's fingerprint with the hash. An index is built only from a file
 that loads and validates, so a corpus file that is not UTF-8, not JSON or
 not valid exits 2 with the fingerprint-mismatch line, not with the corpus
 error that the scan (``dvcm query`` without ``--index``) reports. A
-missing corpus file is reported before a bad index file, and a bad index
-file before a mismatch.
+missing corpus file is reported first, then an index file whose header is
+bad or whose files do not add up to its length, then a mismatch. A damaged
+file inside the index is reported last, when the query first reads it; a
+query that does not read it answers as usual.
 
 Each command imports only the modules it runs. Besides ``dvcm`` itself
 and ``vocab``, which every command loads, they are:

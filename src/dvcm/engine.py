@@ -54,6 +54,7 @@ corpus, the indexed engine reads them from the index.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING
 
@@ -376,23 +377,47 @@ class IndexedEngine(_EngineBase):
         elif corpus is not None:
             index.check_corpus(corpus)
         self.index = index
-        self._dancer_ids_by_name = index.dancers_by_name
-        self._step_ids_by_name = index.step_defs_by_name
-        self._step_ids_by_class = index.step_defs_by_class
-        # scene ordinal -> its shot ordinals, in scene order
-        self._shots_of_scene: list[list[int]] = [[] for _ in index.scenes]
-        for shot in index.shot_order:
-            self._shots_of_scene[index.scene_of_shot[shot]].append(shot)
         # dancer name -> ordinals of the scenes holding an occurrence of it,
         # filled on first use
         self._scenes_by_dancer: dict[str, frozenset[int]] = {}
-        # shot ordinal -> its first occurrence ordinal, with one more entry
-        # for the end: occurrences are numbered in shot order, so each
-        # shot's are one range of ordinals
-        counts = [0] * (len(index.shots) + 1)
-        for shot in index.shot_of_occurrence:
+
+    # Everything the engine reads from its index set is read on first use,
+    # so a query decodes only the index files its body needs.
+
+    @cached_property
+    def _dancer_ids_by_name(self) -> dict[str, tuple[int, ...]]:
+        return self.index.dancers_by_name
+
+    @cached_property
+    def _step_ids_by_name(self) -> dict[str, tuple[int, ...]]:
+        return self.index.step_defs_by_name
+
+    @cached_property
+    def _step_ids_by_class(self) -> dict[str, tuple[int, ...]]:
+        return self.index.step_defs_by_class
+
+    @cached_property
+    def _shots_of_scene(self) -> list[list[int]]:
+        """Scene ordinal -> its shot ordinals, in scene order."""
+        ix = self.index
+        scene_of_shot = ix.scene_of_shot
+        shots_of_scene: list[list[int]] = [[] for _ in ix.scenes]
+        for shot in ix.shot_order:
+            shots_of_scene[scene_of_shot[shot]].append(shot)
+        return shots_of_scene
+
+    @cached_property
+    def _first_occurrence(self) -> list[int]:
+        """Shot ordinal -> its first occurrence ordinal, with one more entry
+        for the end: occurrences are numbered in shot order, so each shot's
+        are one range of ordinals."""
+        ix = self.index
+        # scene_of_shot has one entry per shot, and every temporal query
+        # reads it before it gets here
+        counts = [0] * (len(ix.scene_of_shot) + 1)
+        for shot in ix.shot_of_occurrence:
             counts[shot + 1] += 1
-        self._first_occurrence = list(accumulate(counts))
+        return list(accumulate(counts))
 
     def _shot_ids(self, shots: set[int]) -> set[str]:
         return set(map(self.index.shots.__getitem__, shots))
@@ -427,10 +452,13 @@ class IndexedEngine(_EngineBase):
         return table.get(value, ())
 
     def _facet_shots(self, facet: str, value: str) -> set[int]:
-        postings = self._postings(facet, value)
         if facet in ("background", "costume"):
+            postings = self._postings(facet, value)
             return set(chain.from_iterable(map(self._shots_of_scene.__getitem__, postings)))
-        return set(map(self.index.shot_of_occurrence.__getitem__, postings))
+        # the map is read before the postings, so a bad map is reported
+        # first, as when every file is checked in field order
+        shot_of = self.index.shot_of_occurrence
+        return set(map(shot_of.__getitem__, self._postings(facet, value)))
 
     def _paired_shots(self, dancer_value: str, facet: str, value: str) -> set[int]:
         # every occurrence left satisfies both halves, so each of its shots
@@ -467,28 +495,33 @@ class IndexedEngine(_EngineBase):
             scenes = frozenset(map(ix.scene_of_shot.__getitem__, watching))
         else:
             scenes = self._scenes_of_dancer(rel.dancer_a)
-        for scene in scenes & self._scenes_of_dancer(rel.dancer_b):
-            yield (
-                self._scene_performances(dancer_a, scene),
-                self._scene_performances(dancer_b, scene),
-                watching,
-            )
-
-    def _scene_performances(self, dancer: int, scene: int) -> list[tuple]:
-        ix, first = self.index, self._first_occurrence
+        scenes &= self._scenes_of_dancer(rel.dancer_b)
+        if not scenes:
+            return
+        # Read once per query, not once per scene: CPython does not
+        # specialize reads of an attribute that shadows a class's
+        # descriptor, as every index file and cached property does.
+        shots_of_scene, first = self._shots_of_scene, self._first_occurrence
         dancer_of, step_of = ix.dancer_of_occurrence, ix.step_def_of_occurrence
-        return [
-            (shot, ix.shot_starts[shot], ix.shot_ends[shot], step_of[o])
-            for shot in self._shots_of_scene[scene]
-            for o in range(first[shot], first[shot + 1])
-            if dancer_of[o] == dancer
-        ]
+        starts, ends = ix.shot_starts, ix.shot_ends
+
+        def performances(dancer: int, scene: int) -> list[tuple]:
+            return [
+                (shot, starts[shot], ends[shot], step_of[o])
+                for shot in shots_of_scene[scene]
+                for o in range(first[shot], first[shot + 1])
+                if dancer_of[o] == dancer
+            ]
+
+        for scene in scenes:
+            yield performances(dancer_a, scene), performances(dancer_b, scene), watching
 
     def _eval_spatial(self, rel: SpatialRel) -> set[int]:
         """The shots posted under (relation, a, b) in the spatial file."""
         ix = self.index
-        ids_a = map(ix.dancer_ids.__getitem__, self._resolve_dancer_name(rel.dancer_a))
-        ids_b = list(map(ix.dancer_ids.__getitem__, self._resolve_dancer_name(rel.dancer_b)))
+        dancer_ids = ix.dancer_ids
+        ids_a = map(dancer_ids.__getitem__, self._resolve_dancer_name(rel.dancer_a))
+        ids_b = list(map(dancer_ids.__getitem__, self._resolve_dancer_name(rel.dancer_b)))
         by_first = (ix.spatial_performing if rel.performing else ix.spatial).get(rel.relation, {})
         out: set[int] = set()
         for id_a in ids_a:

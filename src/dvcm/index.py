@@ -42,24 +42,39 @@ So an index set answers every query by itself. It is valid for exactly one
 corpus file and records its fingerprint, the SHA-256 of the file's bytes,
 at build time (see ``model.corpus_fingerprint``): reformatting the corpus
 file, even with the same content, means rebuilding the index.
-``IndexSet.check_fingerprint`` refuses any other file. ``loads_index``
-checks that every integer indexes the table it points into, and cheap
-counts: each one-array map holds one entry per entry of its table, every
-occurrence posts once in each of ``dancers``, ``postures``,
-``reflexions``, ``steps`` and ``step_classes``, and every dancer and step
-definition once in each catalog name table; and ``shot_of_occurrence``
-ascends, as occurrences are numbered in shot order. So an edited or
-truncated file fails with one line instead of a wrong answer; an edit that
-keeps those counts, ranges and that order is not detected. The file
-carries a ``"format"`` version beside ``"fingerprint"`` and ``"files"``; a
-file of any other format, or of none, is refused and must be rebuilt.
-The file is the text of ``json.dumps(doc, separators=(",", ":"),
-sort_keys=True)`` and a newline, so building the same corpus twice yields
-byte-identical files.
+``IndexSet.check_fingerprint`` refuses any other file.
+
+The file is a term dictionary with offsets into the postings, as Zobel and
+Moffat lay out an inverted file ("Inverted files for text search engines",
+ACM Computing Surveys 38(2), 2006). Its first line is a header: the
+``"format"`` version, the ``"fingerprint"``, and under ``"files"`` each
+file's byte offset (from the end of the header line), length, entry count
+and SHA-256. Each file's compact JSON text and a newline follow, in field
+order. Both are the text of ``json.dumps(value, separators=(",", ":"),
+sort_keys=True)``, so building the same corpus twice yields byte-identical
+files. A file of any other format, or of none, is refused and must be
+rebuilt.
+
+``load_index`` reads the header and checks that the files follow each
+other in order and add up to the file's length, so a truncated or
+half-written file fails at load. A loaded set decodes each file on its
+first read: it checks the file's SHA-256, decodes it, and checks that
+every integer indexes the table it points into and the counts, with the
+tables' sizes taken from the header: each one-array map holds one entry
+per entry of its table, every occurrence posts once in each of
+``dancers``, ``postures``, ``reflexions``, ``steps`` and
+``step_classes``, every dancer and step definition once in each catalog
+name table, and each file holds as many entries as the header says; and
+``shot_of_occurrence`` ascends, as occurrences are numbered in shot order.
+So a query reads only the files it needs, and an edited or truncated file
+fails with one line, naming the file, instead of giving a wrong answer.
+A set pinned to a corpus (``load_index(path, corpus)``) and one read by
+``loads_index`` decode and check every file at once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
@@ -76,8 +91,9 @@ if TYPE_CHECKING:
     from .model import Corpus
 
 # Version of the index file layout and of the fingerprint it stores;
-# format 5 holds every fact a query reads, so no query needs the corpus.
-INDEX_FORMAT = 5
+# format 6 puts a header of offsets and checksums before the files, so a
+# query decodes only the files it reads.
+INDEX_FORMAT = 6
 
 # The ``of`` of a file of times: non-negative integer ticks, not ordinals.
 TICKS = "ticks"
@@ -97,7 +113,11 @@ _Postings = dict[str, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class IndexSet:
-    """The ID tables, the ordinal maps and the inverted files of one corpus."""
+    """The ID tables, the ordinal maps and the inverted files of one corpus.
+
+    A built set holds every file. A set read by ``load_index`` without a
+    corpus holds the files' bytes and decodes each file on its first read.
+    """
 
     fingerprint: str
     shots: tuple[str, ...] = _file(depth=0)
@@ -163,7 +183,25 @@ class IndexSet:
         return set(map(self.shots.__getitem__, shots))
 
 
+class _File:
+    """The attribute of one index file on a loaded set: the first read
+    decodes and checks the file and keeps the value in the instance, where
+    every later read finds it as a plain attribute. A built set holds every
+    value from the start, so it never gets here."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def __get__(self, index, owner=None):
+        if index is None:
+            return self
+        value = vars(index)[self.spec.name] = vars(index)["_source"].read(self.spec)
+        return value
+
+
 _FILES = tuple(f for f in fields(IndexSet) if f.name != "fingerprint")
+for _spec in _FILES:
+    setattr(IndexSet, _spec.name, _File(_spec))
 
 
 def _post(table: dict[str, list[int]], key: str, ordinal: int) -> None:
@@ -312,10 +350,35 @@ def _freeze(value):
     return tuple(value)
 
 
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _entry_count(value, depth: int) -> int:
+    """The ordinals, IDs or ticks a file holds, in all its arrays."""
+    if depth == 0:
+        return len(value)
+    return sum(_entry_count(item, depth - 1) for item in value.values())
+
+
 def dumps_index(index: IndexSet) -> str:
-    files = {f.name: getattr(index, f.name) for f in _FILES}
-    doc = {"files": files, "fingerprint": index.fingerprint, "format": INDEX_FORMAT}
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    header: dict[str, dict] = {}
+    texts: list[str] = []
+    offset = 0
+    for f in _FILES:
+        value = getattr(index, f.name)
+        text = _compact(value) + "\n"
+        data = text.encode("utf-8")
+        header[f.name] = {
+            "entries": _entry_count(value, f.metadata["depth"]),
+            "length": len(data),
+            "offset": offset,
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+        texts.append(text)
+        offset += len(data)
+    doc = {"files": header, "fingerprint": index.fingerprint, "format": INDEX_FORMAT}
+    return "".join([_compact(doc) + "\n", *texts])
 
 
 def save_index(index: IndexSet, path) -> None:
@@ -324,8 +387,9 @@ def save_index(index: IndexSet, path) -> None:
     write_text_atomic(path, (dumps_index(index),))
 
 
-def _load_file(name: str, value, spec, loaded: dict) -> object:
-    """One file of a decoded document, frozen, with every entry checked.
+def _load_file(name: str, value, spec, counts: dict[str, int]) -> object:
+    """One decoded file, frozen, with every entry checked against the
+    header's counts.
 
     Each check is one C-level pass over all the file's entries at once.
     """
@@ -353,27 +417,77 @@ def _load_file(name: str, value, spec, loaded: dict) -> object:
         if entries and (not set(map(type, entries)) <= {int} or min(entries) < 0):
             raise IndexFormatError(f"files.{name} must hold non-negative integer ticks")
     elif entries:
-        size = len(loaded[of])
+        size = counts[of]
         if not set(map(type, entries)) <= {int} or min(entries) < 0 or max(entries) >= size:
             raise IndexFormatError(
                 f"files.{name} must hold integer ordinals into files.{of}, from 0 to {size - 1}"
             )
     count_of = spec["count_of"]
-    if count_of is not None and len(entries) != len(loaded[count_of]):
+    if count_of is not None and len(entries) != counts[count_of]:
         if spec["depth"] == 0:
             raise IndexFormatError(
                 f"files.{name} must hold one entry per entry of files.{count_of}"
             )
         raise IndexFormatError(
-            f"files.{name} must post each of the {len(loaded[count_of])} entries of "
+            f"files.{name} must post each of the {counts[count_of]} entries of "
             f"files.{count_of} once, and posts {len(entries)}; rebuild the index"
+        )
+    if len(entries) != counts[name]:
+        raise IndexFormatError(
+            f"files.{name} holds {len(entries)} entries and the header says "
+            f"{counts[name]}; rebuild the index"
         )
     return frozen
 
 
-def loads_index(text: str) -> IndexSet:
+class _Source:
+    """The files of an index file, behind its checked header."""
+
+    def __init__(self, body: bytes, header: dict[str, dict]):
+        self.body = body
+        self.header = header
+        self.counts = {name: entry["entries"] for name, entry in header.items()}
+
+    def read(self, spec) -> object:
+        """Check one file's SHA-256, decode it and check its entries."""
+        name, entry = spec.name, self.header[spec.name]
+        data = self.body[entry["offset"]:entry["offset"] + entry["length"]]
+        if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+            raise IndexFormatError(
+                f"files.{name} does not match its SHA-256 in the header; rebuild the index"
+            )
+        try:
+            value = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(
+                f"files.{name}: byte {exc.start}: not UTF-8: {exc.reason}"
+            ) from None
+        except json.JSONDecodeError as exc:
+            raise IndexFormatError(
+                f"files.{name}: line {exc.lineno}, col {exc.colno}: {exc.msg}"
+            ) from None
+        except RecursionError:
+            raise IndexFormatError(f"files.{name}: nested too deeply to decode") from None
+        loaded = _load_file(name, value, spec.metadata, self.counts)
+        # occurrences are numbered in shot order
+        if name == "shot_of_occurrence" and not all(map(le, loaded, islice(loaded, 1, None))):
+            raise IndexFormatError(
+                "files.shot_of_occurrence must be ascending: occurrences are numbered in shot order"
+            )
+        return loaded
+
+
+_HEADER_ENTRY = {"entries", "length", "offset", "sha256"}
+
+
+def _open_index(data: bytes) -> IndexSet:
+    """An index set over a file's bytes whose header has been checked; each
+    file is decoded and checked on its first read."""
+    line, _, body = data.partition(b"\n")
     try:
-        doc = json.loads(text)
+        doc = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"byte {exc.start}: not UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise IndexFormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -387,32 +501,62 @@ def loads_index(text: str) -> IndexSet:
         )
     if not isinstance(doc["fingerprint"], str):
         raise IndexFormatError("fingerprint must be a string")
-    files = doc["files"]
+    header = doc["files"]
     names = [f.name for f in _FILES]
-    if not isinstance(files, dict) or set(files) != set(names):
+    if not isinstance(header, dict) or set(header) != set(names):
         raise IndexFormatError(f"'files' must hold exactly {sorted(names)}")
-    loaded: dict[str, object] = {}
-    for f in _FILES:
-        loaded[f.name] = _load_file(f.name, files[f.name], f.metadata, loaded)
-    shot_of_occurrence = loaded["shot_of_occurrence"]
-    if not all(map(le, shot_of_occurrence, islice(shot_of_occurrence, 1, None))):
+    end = 0
+    for name in names:
+        entry = header[name]
+        if not (
+            isinstance(entry, dict) and set(entry) == _HEADER_ENTRY
+            and isinstance(entry["sha256"], str)
+            and all(type(entry[key]) is int and entry[key] >= 0
+                    for key in ("entries", "length", "offset"))
+        ):
+            raise IndexFormatError(
+                f"files.{name} in the header must hold non-negative integers 'entries', "
+                "'length' and 'offset', and a string 'sha256'"
+            )
+        if entry["offset"] != end:
+            raise IndexFormatError(
+                f"files.{name} starts at byte {entry['offset']} in the header, where the "
+                f"file before it ends at byte {end}; rebuild the index"
+            )
+        end += entry["length"]
+    if end != len(body):
         raise IndexFormatError(
-            "files.shot_of_occurrence must be ascending: occurrences are numbered in shot order"
+            f"the header lists {end} bytes of files and the file holds {len(body)}; "
+            "the file is truncated or damaged, rebuild the index"
         )
-    return IndexSet(fingerprint=doc["fingerprint"], **loaded)
+    index = object.__new__(IndexSet)
+    vars(index).update(fingerprint=doc["fingerprint"], _source=_Source(body, header))
+    return index
+
+
+def loads_index(data: str | bytes) -> IndexSet:
+    """An index set with every file of the index file's content decoded and
+    checked."""
+    index = _open_index(data.encode("utf-8") if isinstance(data, str) else data)
+    for f in _FILES:
+        getattr(index, f.name)
+    # every file is decoded, so the file's bytes can go
+    del vars(index)["_source"]
+    return index
 
 
 def load_index(path, corpus: Corpus | None = None) -> IndexSet:
     """Read an index file; when a corpus is supplied, pin it to the index.
 
-    Raises IndexMismatchError if the stored fingerprint does not match the
-    corpus, which means the index was built from different data.
+    Without a corpus, only the header is checked now, and each file is
+    decoded and checked on its first read. With one, every file is, and
+    then the stored fingerprint must match the corpus, or the index was
+    built from different data: IndexMismatchError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            index = loads_index(fh.read())
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"byte {exc.start}: not UTF-8: {exc.reason}") from None
-    if corpus is not None:
-        index.check_corpus(corpus)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if corpus is None:
+        return _open_index(data)
+    index = loads_index(data)
+    index.check_corpus(corpus)
     return index

@@ -165,7 +165,7 @@ def _lex(text: str) -> list[_Tok]:
                 # the body stopped at a line end, the end of the text or a
                 # backslash that escapes neither '"' nor '\'
                 if text.startswith("\\", end) and end + 1 < len(text):
-                    raise _error(text, end, f"unknown escape sequence \\{text[end + 1]}")
+                    raise _error(text, end, f"unknown escape sequence {text[end:end + 2]!r}")
                 raise _error(text, offset, "unterminated string")
             # the body holds only \" and \\ escapes, so undoing \" first
             # cannot split a \\ pair

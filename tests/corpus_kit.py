@@ -1,18 +1,22 @@
 """Shared test material: a small valid corpus document, a strategy drawing
 small valid corpus documents, independent oracles for the song grammar,
-interval algebra and dancer relations, and witness re-validation. The oracles are deliberately written from the definitions
-with their own structure so they can disagree with the package when the
-package is wrong.
+interval algebra and dancer relations, witness re-validation, and an index
+file's content as one editable document. The oracles are deliberately
+written from the definitions with their own structure so they can disagree
+with the package when the package is wrong.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import re
 
 from hypothesis import strategies as st
 
+from dvcm.index import IndexSet
 from dvcm.model import SPATIAL_RELATIONS, Corpus, dumps_corpus, parse_corpus_document
 from dvcm.temporal import ALLEN_RELATIONS, Witness
 
@@ -601,3 +605,43 @@ def assert_witness_valid(corpus: Corpus, w: Witness) -> None:
 
     else:
         raise AssertionError(f"witness with unknown relation: {w}")
+
+
+# --------------------------------------------------------------------------
+# An index file as one document
+
+
+def index_document(data: bytes) -> dict:
+    """An index file's header fields, with each file's decoded value under
+    ``"files"`` in place of its header entry."""
+    line, _, body = data.partition(b"\n")
+    doc = json.loads(line)
+    doc["files"] = {
+        name: json.loads(body[entry["offset"]:entry["offset"] + entry["length"]])
+        for name, entry in doc["files"].items()
+    }
+    return doc
+
+
+def _entries(value) -> int:
+    if isinstance(value, dict):
+        return sum(map(_entries, value.values()))
+    return len(value) if isinstance(value, list) else 0
+
+
+def seal_index(doc: dict) -> str:
+    """The index file of a document, however edited: the files in field
+    order, and a header whose offsets, lengths, entry counts and SHA-256s
+    match them. So only the loader's checks of the content can refuse it."""
+    order = [f.name for f in dataclasses.fields(IndexSet)[1:]]
+    files = doc["files"]
+    texts, entries, offset = [], {}, 0
+    for name in sorted(files, key=lambda n: order.index(n) if n in order else len(order)):
+        text = json.dumps(files[name], separators=(",", ":"), sort_keys=True) + "\n"
+        data = text.encode("utf-8")
+        entries[name] = {"entries": _entries(files[name]), "length": len(data),
+                         "offset": offset, "sha256": hashlib.sha256(data).hexdigest()}
+        texts.append(text)
+        offset += len(data)
+    header = {**doc, "files": entries}
+    return json.dumps(header, separators=(",", ":"), sort_keys=True) + "\n" + "".join(texts)

@@ -3,12 +3,13 @@
 import gc
 import hashlib
 import json
+import re
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from corpus_kit import small_doc
+from corpus_kit import index_document, seal_index, small_doc
 from dvcm.bench import BenchmarkMismatchError
 import dvcm.cli
 import dvcm.index
@@ -166,7 +167,8 @@ def test_gen_and_index_bytes_are_pinned(tmp_path):
     # The corpus digest is that of the file the hand-written corpus codec,
     # which the table-driven one replaced, wrote. The index embeds the
     # corpus fingerprint, so its digest pins the fingerprint too; it is the
-    # format 5 file, compact JSON with the catalog and performance tables.
+    # format 6 file, a header line of offsets and checksums, then each file's
+    # compact JSON.
     corpus_path = tmp_path / "g.json"
     index_path = tmp_path / "g.index.json"
     gen_args = ["gen", "--shots", "120", "--dancers", "5", "--seed", "42"]
@@ -176,10 +178,10 @@ def test_gen_and_index_bytes_are_pinned(tmp_path):
         "d187f5b2b92b5f454d4a4b7e032153ba464c2de7e57e85ee101ffd4a5038848e"
     )
     assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-        "159c472cbbd5a1b44cb1d028a9865692813ab717aecc4e99946c839bad6e29b5"
+        "a950224ef62904d088fd3257b2b371f5aa6d49f75f496dfe618be747063735c8"
     )
-    index_doc = json.loads(index_path.read_text(encoding="utf-8"))
-    assert index_doc["fingerprint"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+    header = json.loads(index_path.read_bytes().partition(b"\n")[0])
+    assert header["fingerprint"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["gen", "index"])
@@ -216,6 +218,13 @@ def test_query_parse_error(capsys, f1_path):
     code, out, err = run_cli(capsys, "query", f1_path, "find nothing anywhere")
     assert code == 1
     assert err.startswith("query error: line 1, col 6")
+
+
+def test_escaped_line_end_exits_1_with_one_line(capsys, f1_path):
+    # the escaped character is quoted, so a line end stays inside the line
+    code, out, err = run_cli(capsys, "query", f1_path, 'find shots where dancer = "a\\\nb"')
+    assert code == 1 and out == ""
+    assert err.startswith("query error: line 1, col 29: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("index", [False, True])
@@ -325,15 +334,15 @@ def test_query_with_stale_index(capsys, tmp_path):
 def test_index_without_format_exits_2(capsys, tmp_path, f1_path):
     index_path = tmp_path / "f1.index.json"
     assert main(["index", f1_path, "-o", str(index_path)]) == 0
-    doc = json.loads(index_path.read_text(encoding="utf-8"))
+    doc = index_document(index_path.read_bytes())
     del doc["format"]
-    index_path.write_text(json.dumps(doc), encoding="utf-8")
+    index_path.write_text(seal_index(doc), encoding="utf-8")
     code, out, err = run_cli(
         capsys, "query", f1_path, 'find shots where posture = "front"',
         "--index", str(index_path),
     )
     assert code == 2
-    assert err == "error: index format is missing, expected 5; rebuild the index\n"
+    assert err == "error: index format is missing, expected 6; rebuild the index\n"
 
 
 def test_deeply_nested_index_exits_2_with_one_line(capsys, tmp_path, f1_path):
@@ -500,18 +509,30 @@ def test_crlf_corpus_loads_and_its_index_answers_like_the_scan(capsys, tmp_path,
         assert code == 0 and indexed == scanned and scanned
 
 
+# Between them, these read every file the edits below change: a query
+# decodes only the index files its body needs.
+_EDITED_INDEX_QUERIES = [
+    'find shots where dancer = "Anitha"',
+    'find scenes where background = "temple"',
+    'find shots where spatial(dancer = "Anitha", dancer = "Lisa", relation = "near")',
+]
+
+
 def _edited_index_query(capsys, tmp_path, f1_path, edit):
-    """Query f1 for Anitha through an index file that ``edit`` changed."""
+    """Query f1 for Anitha, then for its scenes and a spatial triplet,
+    through an index file that ``edit`` changed and that was resealed, so
+    that its checksums hold; the first query that fails, or the last."""
     index_path = tmp_path / "f1.index.json"
     assert main(["index", f1_path, "-o", str(index_path)]) == 0
     capsys.readouterr()
-    doc = json.loads(index_path.read_text(encoding="utf-8"))
+    doc = index_document(index_path.read_bytes())
     edit(doc)
-    index_path.write_text(json.dumps(doc), encoding="utf-8")
-    return run_cli(
-        capsys, "query", f1_path, 'find shots where dancer = "Anitha"',
-        "--index", str(index_path),
-    )
+    index_path.write_text(seal_index(doc), encoding="utf-8")
+    for text in _EDITED_INDEX_QUERIES:
+        code, out, err = run_cli(capsys, "query", f1_path, text, "--index", str(index_path))
+        if code != 0:
+            break
+    return code, out, err
 
 
 @pytest.mark.parametrize("empty_shot_entry", [True, False])
@@ -589,7 +610,128 @@ def test_format_3_index_exits_2_with_rebuild(capsys, tmp_path, f1_path):
         capsys, tmp_path, f1_path, lambda doc: doc.update(format=3)
     )
     assert code == 2 and out == ""
-    assert err == "error: index format is 3, expected 5; rebuild the index\n"
+    assert err == "error: index format is 3, expected 6; rebuild the index\n"
+
+
+def _f1_index_file(capsys, tmp_path, f1_path) -> Path:
+    index_path = tmp_path / "f1.index.json"
+    assert main(["index", f1_path, "-o", str(index_path)]) == 0
+    capsys.readouterr()
+    return index_path
+
+
+def _edit_index_file(index_path: Path, name: str, edit) -> None:
+    """Apply ``edit`` to the bytes of one file of an index, keeping its
+    length and the header as they are."""
+    line, _, body = index_path.read_bytes().partition(b"\n")
+    entry = json.loads(line)["files"][name]
+    start, end = entry["offset"], entry["offset"] + entry["length"]
+    edited = edit(body[start:end])
+    assert edited != body[start:end] and len(edited) == end - start
+    index_path.write_bytes(line + b"\n" + body[:start] + edited + body[end:])
+
+
+def _checksum_error(name: str) -> str:
+    return f"error: files.{name} does not match its SHA-256 in the header; rebuild the index\n"
+
+
+_SPATIAL_QUERY = 'find shots where spatial(dancer = "Anitha", dancer = "Lisa", relation = "behind")'
+
+
+@pytest.mark.parametrize(
+    "name, old, new, text",
+    [
+        ("postures", b'"front"', b'"frant"', 'find shots where posture = "front"'),
+        ("dancers_by_name", b'"anitha"', b'"anithb"', _SPATIAL_QUERY),
+    ],
+)
+def test_an_edit_that_keeps_every_count_fails_the_checksum(
+    capsys, tmp_path, f1_path, name, old, new, text
+):
+    index_path = _f1_index_file(capsys, tmp_path, f1_path)
+    _edit_index_file(index_path, name, lambda data: data.replace(old, new))
+    code, out, err = run_cli(capsys, "query", f1_path, text, "--index", str(index_path))
+    assert code == 2 and out == ""
+    assert err == _checksum_error(name)
+    # resealed, the edit passes every other check: only the checksum finds it
+    index_path.write_text(seal_index(index_document(index_path.read_bytes())), encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", f1_path, text, "--index", str(index_path))
+    assert (code, out) == ((0, "") if name == "postures" else (1, ""))
+
+
+# One file of each kind, with a query that reads it; the Anitha query
+# reads none of them.
+_READERS = [
+    ("compound_scenes", 'find cscenes where dancer = "Anitha"'),
+    ("scene_of_shot", 'find scenes where dancer = "Anitha"'),
+    ("postures", 'find shots where posture = "front"'),
+    ("spatial", _SPATIAL_QUERY),
+]
+
+
+@pytest.mark.parametrize("name, text", _READERS, ids=[name for name, _ in _READERS])
+def test_a_damaged_file_fails_only_the_queries_that_read_it(
+    capsys, tmp_path, f1_path, name, text
+):
+    anitha = 'find shots where dancer = "Anitha"'
+    _, expected, _ = run_cli(capsys, "query", f1_path, anitha)
+    index_path = _f1_index_file(capsys, tmp_path, f1_path)
+    # one digit changed: the file still decodes, and every ordinal stays
+    # in range
+    _edit_index_file(
+        index_path, name,
+        lambda data: re.sub(rb"\d", lambda m: b"2" if m[0] == b"1" else b"1", data, count=1),
+    )
+    code, out, err = run_cli(capsys, "query", f1_path, anitha, "--index", str(index_path))
+    assert code == 0 and out == expected and out and err == ""
+    code, out, err = run_cli(capsys, "query", f1_path, text, "--index", str(index_path))
+    assert code == 2 and out == ""
+    assert err == _checksum_error(name)
+
+
+@pytest.mark.parametrize("cut", ["last byte", "half the files", "in the header"])
+def test_truncated_index_file_exits_2_with_one_line(capsys, tmp_path, f1_path, cut):
+    index_path = _f1_index_file(capsys, tmp_path, f1_path)
+    data = index_path.read_bytes()
+    files = len(data) - data.index(b"\n") - 1
+    kept = {"last byte": files - 1, "half the files": files // 2, "in the header": None}[cut]
+    index_path.write_bytes(data[:100] if kept is None else data[:len(data) - files + kept])
+    code, out, err = run_cli(
+        capsys, "query", f1_path, 'find shots where dancer = "Anitha"', "--index", str(index_path)
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if kept is not None:
+        assert err == (
+            f"error: the header lists {files} bytes of files and the file holds {kept}; "
+            "the file is truncated or damaged, rebuild the index\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "field, name", [("offset", "scenes"), ("length", "shots"), ("length", "spatial_performing")]
+)
+def test_header_whose_offsets_do_not_add_up_exits_2_with_one_line(
+    capsys, tmp_path, f1_path, field, name
+):
+    index_path = _f1_index_file(capsys, tmp_path, f1_path)
+    line, _, body = index_path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header["files"][name][field] += 1
+    index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    code, out, err = run_cli(
+        capsys, "query", f1_path, 'find shots where dancer = "Anitha"', "--index", str(index_path)
+    )
+    assert code == 2 and out == ""
+    # shots is the first file, scenes the second and spatial_performing the last
+    shots_end = header["files"]["shots"]["length"]
+    assert err == "error: " + {
+        "scenes": f"files.scenes starts at byte {shots_end + 1} in the header, where the file "
+        f"before it ends at byte {shots_end}; rebuild the index\n",
+        "shots": f"files.scenes starts at byte {shots_end - 1} in the header, where the file "
+        f"before it ends at byte {shots_end}; rebuild the index\n",
+        "spatial_performing": f"the header lists {len(body) + 1} bytes of files and the file "
+        f"holds {len(body)}; the file is truncated or damaged, rebuild the index\n",
+    }[name]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,6 +1,7 @@
 """Inverted-file construction, serialization, and staleness detection."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -11,12 +12,14 @@ from corpus_kit import (
     corpus_documents,
     doc_to_corpus,
     empty_doc,
+    index_document,
     occurrences_by_ordinal,
+    seal_index,
     small_doc,
     texts,
 )
 import dvcm.model
-from dvcm.engine import IndexedEngine
+from dvcm.engine import IndexedEngine, SequentialScanEngine
 from dvcm.index import (
     TICKS,
     IndexMismatchError,
@@ -204,6 +207,35 @@ def test_save_and_load(tmp_path, f1, f1_index):
     assert load_index(path, f1) == f1_index
 
 
+_FILE_NAMES = frozenset(f.name for f in dataclasses.fields(IndexSet)[1:])
+
+
+def _decoded_files(index) -> set[str]:
+    # a loaded set keeps each file it has decoded as an instance attribute
+    return set(vars(index)) & _FILE_NAMES
+
+
+def test_a_query_decodes_only_the_files_it_reads(tmp_path, f1, f1_index):
+    path = tmp_path / "f1.index.json"
+    save_index(f1_index, path)
+    index = load_index(path)
+    engine = IndexedEngine(None, index)
+    assert _decoded_files(index) == set()
+    text = 'find shots where body_part = "hand"'
+    assert engine.execute_text(text) == SequentialScanEngine(f1).execute_text(text)
+    assert _decoded_files(index) == {"body_parts", "shot_of_occurrence", "shots"}
+    # a decoded file is a plain attribute of the set from then on
+    assert vars(index)["body_parts"] is index.body_parts == f1_index.body_parts
+
+
+def test_a_pinned_load_decodes_every_file(tmp_path, f1, f1_index):
+    path = tmp_path / "f1.index.json"
+    save_index(f1_index, path)
+    index = load_index(path, f1)
+    assert len(_FILE_NAMES) == 28 and _decoded_files(index) == _FILE_NAMES
+    assert index == f1_index
+
+
 def test_load_against_other_corpus_is_rejected(tmp_path, f1, f1_index):
     path = tmp_path / "f1.index.json"
     save_index(f1_index, path)
@@ -232,36 +264,85 @@ def test_format_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+_BAD_HEADER_ENTRY = (
+    "files.shots in the header must hold non-negative integers 'entries', 'length' and "
+    "'offset', and a string 'sha256'"
+)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entry: entry.update(length="5"),
+        lambda entry: entry.update(entries=-1),
+        lambda entry: entry.update(offset=True),
+        lambda entry: entry.update(sha256=None),
+        lambda entry: entry.pop("sha256"),
+        lambda entry: entry.update(extra=0),
+    ],
+)
+def test_format_error_on_bad_header_entry(f1_index, edit):
+    line, _, files = dumps_index(f1_index).partition("\n")
+    header = json.loads(line)
+    edit(header["files"]["shots"])
+    with pytest.raises(IndexFormatError) as err:
+        loads_index(json.dumps(header) + "\n" + files)
+    assert str(err.value) == _BAD_HEADER_ENTRY
+
+
+def test_format_error_on_a_header_count_the_file_does_not_hold(f1_index):
+    line, _, files = dumps_index(f1_index).partition("\n")
+    header = json.loads(line)
+    header["files"]["dancers"]["entries"] += 1
+    with pytest.raises(IndexFormatError) as err:
+        loads_index(json.dumps(header) + "\n" + files)
+    assert str(err.value) == (
+        "files.dancers holds 12 entries and the header says 13; rebuild the index"
+    )
+
+
+def test_format_error_on_a_file_that_is_not_json(f1_index):
+    # the checksum holds, so the decoder is what refuses the file
+    line, _, files = dumps_index(f1_index).partition("\n")
+    header = json.loads(line)
+    entry = header["files"]["shots"]
+    text = files[:entry["length"] - 2] + ",\n"
+    entry["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    with pytest.raises(IndexFormatError) as err:
+        loads_index(json.dumps(header) + "\n" + text + files[entry["length"]:])
+    assert str(err.value) == "files.shots: line 2, col 1: Expecting value"
+
+
 def structured_index_doc(f1_index) -> dict:
-    return json.loads(dumps_index(f1_index))
+    return index_document(dumps_index(f1_index).encode("utf-8"))
 
 
 def test_format_error_on_extra_key(f1_index):
     doc = structured_index_doc(f1_index)
     doc["extra"] = {}
     with pytest.raises(IndexFormatError, match="expected an object"):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 def test_format_error_on_bad_fingerprint_type(f1_index):
     doc = structured_index_doc(f1_index)
     doc["fingerprint"] = 12
     with pytest.raises(IndexFormatError, match="fingerprint"):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 def test_format_error_on_wrong_file_set(f1_index):
     doc = structured_index_doc(f1_index)
     doc["files"].pop("dancers")
     with pytest.raises(IndexFormatError, match="files"):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 def test_format_error_on_non_object_table(f1_index):
     doc = structured_index_doc(f1_index)
     doc["files"]["dancers"] = []
     with pytest.raises(IndexFormatError, match="dancers"):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 @pytest.mark.parametrize("bad", ["sh1-da1", True, 1.0, -1, 12, None, [0]])
@@ -274,7 +355,7 @@ def test_format_error_on_bad_postings(f1_index, bad):
         match=r"^files\.dancers must hold integer ordinals into files\.shot_of_occurrence, "
         r"from 0 to 11$",
     ):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 @pytest.mark.parametrize(
@@ -298,27 +379,27 @@ def test_format_error_on_bad_tables(f1_index, name, value, message):
     doc = structured_index_doc(f1_index)
     doc["files"][name] = value
     with pytest.raises(IndexFormatError) as err:
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, "5"])
+@pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, "6"])
 def test_other_or_missing_format_is_refused(f1_index, fmt):
     doc = structured_index_doc(f1_index)
-    assert doc["format"] == 5
+    assert doc["format"] == 6
     if fmt is None:
         del doc["format"]
     else:
         doc["format"] = fmt
     with pytest.raises(IndexFormatError, match="rebuild the index$"):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 def test_occurrences_must_follow_shot_order(f1_index):
     doc = structured_index_doc(f1_index)
     doc["files"]["shot_of_occurrence"].reverse()
     with pytest.raises(IndexFormatError, match=r"^files\.shot_of_occurrence must be ascending"):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 @pytest.mark.parametrize("shots", [[], [1, 2]])
@@ -326,7 +407,7 @@ def test_occurrence_must_map_to_exactly_one_shot(f1_index, shots):
     doc = structured_index_doc(f1_index)
     doc["files"]["shot_of_occurrence"][2] = shots
     with pytest.raises(IndexFormatError, match=r"^files\.shot_of_occurrence must hold integer"):
-        loads_index(json.dumps(doc))
+        loads_index(seal_index(doc))
 
 
 def _posts_one_less(name: str, table: str, entries: int) -> str:
@@ -383,9 +464,13 @@ def test_failed_save_keeps_the_previous_index_file(tmp_path, f1_index, disk_full
 
 
 def assert_index_text_matches_the_json_encoder(index):
-    # the stdlib encoder is the oracle for the text, the parser for the content
+    # the stdlib encoder is the oracle for the text of the header and of
+    # each file, the parser for the content
     text = dumps_index(index)
-    assert text == json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True) + "\n"
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == 1 + len(dataclasses.fields(IndexSet)[1:])
+    for line in lines:
+        assert line == json.dumps(json.loads(line), separators=(",", ":"), sort_keys=True)
     assert loads_index(text) == index
 
 
