@@ -343,11 +343,11 @@ def build_index(corpus: Corpus, *, pinned: bool = True) -> IndexSet:
     )
 
 
-def _freeze(value):
-    """Nested objects of arrays, with the arrays as tuples."""
+def _freeze(value, freeze=tuple):
+    """Nested objects of arrays, with each array passed through ``freeze``."""
     if isinstance(value, dict):
-        return {key: _freeze(item) for key, item in value.items()}
-    return tuple(value)
+        return {key: _freeze(item, freeze) for key, item in value.items()}
+    return freeze(value)
 
 
 def _compact(value) -> str:
@@ -387,27 +387,33 @@ def save_index(index: IndexSet, path) -> None:
     write_text_atomic(path, (dumps_index(index),))
 
 
-def _load_file(name: str, value, spec, counts: dict[str, int]) -> object:
+def _load_file(name: str, value, spec, counts: dict[str, int], ordinals: list[int]) -> object:
     """One decoded file, frozen, with every entry checked against the
     header's counts.
 
-    Each check is one C-level pass over all the file's entries at once.
+    Each check is one C-level pass over all the file's entries at once. The
+    ordinals of a checked file are taken from ``ordinals``, a list of the
+    integers from 0 shared by every file of the set, in place of the ones
+    the decoder made: a file then costs only its arrays, and the memory a
+    query needs grows little with the number of files it reads.
     """
     arrays: list[list] = []
 
-    def collect(item, depth: int, where: str):
+    def collect(item, depth: int, where: str) -> None:
         if depth == 0:
             if type(item) is not list:
                 raise IndexFormatError(f"{where} must be an array")
             arrays.append(item)
-            return tuple(item)
+            return
         if type(item) is not dict:
             raise IndexFormatError(f"{where} must be an object")
-        return {key: collect(sub, depth - 1, f"{where}[{key!r}]") for key, sub in item.items()}
+        for key, sub in item.items():
+            collect(sub, depth - 1, f"{where}[{key!r}]")
 
-    frozen = collect(value, spec["depth"], f"files.{name}")
+    collect(value, spec["depth"], f"files.{name}")
     entries = arrays[0] if len(arrays) == 1 else list(chain.from_iterable(arrays))
     of = spec["of"]
+    freeze = tuple
     if of is None:
         if not set(map(type, entries)) <= {str}:
             raise IndexFormatError(f"files.{name} must be a string array")
@@ -422,6 +428,13 @@ def _load_file(name: str, value, spec, counts: dict[str, int]) -> object:
             raise IndexFormatError(
                 f"files.{name} must hold integer ordinals into files.{of}, from 0 to {size - 1}"
             )
+        if len(ordinals) < size:
+            ordinals.extend(range(len(ordinals), size))
+        get = ordinals.__getitem__
+
+        def freeze(array):
+            return tuple(map(get, array))
+
     count_of = spec["count_of"]
     if count_of is not None and len(entries) != counts[count_of]:
         if spec["depth"] == 0:
@@ -437,7 +450,9 @@ def _load_file(name: str, value, spec, counts: dict[str, int]) -> object:
             f"files.{name} holds {len(entries)} entries and the header says "
             f"{counts[name]}; rebuild the index"
         )
-    return frozen
+    # drop the checks' copy of the entries before the frozen one is built
+    del entries, arrays
+    return _freeze(value, freeze)
 
 
 class _Source:
@@ -447,6 +462,8 @@ class _Source:
         self.body = body
         self.header = header
         self.counts = {name: entry["entries"] for name, entry in header.items()}
+        # 0, 1, 2, ...: the one copy of each ordinal the decoded files hold
+        self.ordinals: list[int] = []
 
     def read(self, spec) -> object:
         """Check one file's SHA-256, decode it and check its entries."""
@@ -468,7 +485,7 @@ class _Source:
             ) from None
         except RecursionError:
             raise IndexFormatError(f"files.{name}: nested too deeply to decode") from None
-        loaded = _load_file(name, value, spec.metadata, self.counts)
+        loaded = _load_file(name, value, spec.metadata, self.counts, self.ordinals)
         # occurrences are numbered in shot order
         if name == "shot_of_occurrence" and not all(map(le, loaded, islice(loaded, 1, None))):
             raise IndexFormatError(

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -558,3 +559,19 @@ def test_medium_corpus_index_round_trips(medium_corpus):
     assert [index.shots[s] for s in index.shot_of_occurrence] == [
         occ.shot_id for occ in occurrences_by_ordinal(medium_corpus)
     ]
+
+
+def test_decoded_files_share_one_object_per_ordinal(medium_corpus):
+    # the decoder makes a new integer for each number it reads; a loaded set
+    # keeps one per ordinal instead, so a file costs only its arrays
+    index = loads_index(dumps_index(build_index(medium_corpus)))
+    ordinals = []
+    for f in dataclasses.fields(IndexSet)[1:]:
+        if f.metadata["of"] in (None, TICKS):
+            continue
+        tables = [getattr(index, f.name)]
+        for _ in range(f.metadata["depth"]):
+            tables = [item for table in tables for item in table.values()]
+        ordinals.extend(chain.from_iterable(tables))
+    assert max(ordinals) > 256  # past the integers Python caches itself
+    assert len(set(map(id, ordinals))) == len(set(ordinals))
