@@ -458,7 +458,7 @@ def _load_file(name: str, value, spec, counts: dict[str, int], ordinals: list[in
 class _Source:
     """The files of an index file, behind its checked header."""
 
-    def __init__(self, body: bytes, header: dict[str, dict]):
+    def __init__(self, body: memoryview, header: dict[str, dict]):
         self.body = body
         self.header = header
         self.counts = {name: entry["entries"] for name, entry in header.items()}
@@ -474,7 +474,7 @@ class _Source:
                 f"files.{name} does not match its SHA-256 in the header; rebuild the index"
             )
         try:
-            value = json.loads(data.decode("utf-8"))
+            value = json.loads(str(data, "utf-8"))
         except UnicodeDecodeError as exc:
             raise IndexFormatError(
                 f"files.{name}: byte {exc.start}: not UTF-8: {exc.reason}"
@@ -500,7 +500,11 @@ _HEADER_ENTRY = {"entries", "length", "offset", "sha256"}
 def _open_index(data: bytes) -> IndexSet:
     """An index set over a file's bytes whose header has been checked; each
     file is decoded and checked on its first read."""
-    line, _, body = data.partition(b"\n")
+    head = data.find(b"\n")
+    if head < 0:
+        head = len(data)
+    # a view of the file's bytes, not a copy of them
+    line, body = data[:head], memoryview(data)[head + 1:]
     try:
         doc = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError as exc:

@@ -17,7 +17,8 @@ field whose annotation ends in "| None" is optional: it may be omitted or
 null on input, and is always written, as null when unset. Files are
 written as json.dumps(document, indent=2, sort_keys=True) writes them, so
 they are ASCII, with catalogs sorted by ID. Parsers and writers are
-generated from the dataclass fields (see "Codec" below).
+generated from the dataclass fields (see "Codec" below), and a file is
+decoded one catalog entry at a time (see ``loads_corpus``).
 
 Entities are frozen, slotted dataclasses, and corpora are immutable after
 loading; every operation here is a pure read.
@@ -29,6 +30,7 @@ import contextlib
 import datetime
 import json
 import os
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -912,6 +914,50 @@ _CODECS["tuple[tuple[str, frozenset[str]], ...]"] = (
 _CATALOG_CODECS = {key: _record_codec(cls) for key, cls in _CATALOGS.items()}
 
 
+def _build_corpus(catalogs: Iterable[tuple[str, object]]) -> Corpus:
+    """Build a Corpus from a document's (top-level key, value) pairs.
+
+    A catalog's value is an array of decoded entries, or an iterator that
+    decodes them one at a time; each entry is parsed as soon as it is
+    decoded, so only one entry's JSON value is alive at a time. Duplicate
+    IDs are collected, not raised, so that every violation is listed.
+    """
+    tables: dict[str, dict] = {}
+    dup_violations: list[Violation] = []
+    for key, entries in catalogs:
+        if key not in _CATALOGS:
+            raise CorpusFormatError("$", f"unknown top-level key {key!r}")
+        if key in tables:
+            raise CorpusFormatError("$", f"duplicate top-level key {key!r}")
+        if not isinstance(entries, (list, Iterator)):
+            raise _within(key, _expected("array", entries))
+        parse = _CATALOG_CODECS[key][0]
+        kind = key[:-1].replace("_", " ")
+        tables[key] = table = {}
+        n = 0
+        try:
+            for entry in entries:
+                item = parse(entry)
+                if item.id in table:
+                    dup_violations.append(
+                        Violation("duplicate-id", item.id, f"duplicate {kind} ID")
+                    )
+                else:
+                    table[item.id] = item
+                n += 1
+        except CorpusFormatError as exc:
+            raise _within(f"{key}[{n}]", exc) from None
+    for key in _CATALOGS:
+        if key not in tables:
+            raise CorpusFormatError("$", f"missing top-level array {key!r}")
+    corpus = Corpus(**tables)
+
+    violations = dup_violations + validate_corpus(corpus)
+    if violations:
+        raise IntegrityError(violations)
+    return corpus
+
+
 def parse_corpus_document(doc) -> Corpus:
     """Build a Corpus from a decoded JSON document, collecting duplicate IDs.
 
@@ -921,49 +967,88 @@ def parse_corpus_document(doc) -> Corpus:
     """
     if not isinstance(doc, dict):
         raise CorpusFormatError("$", "top level must be an object")
-    unknown = set(doc) - set(_CATALOGS)
-    if unknown:
-        raise CorpusFormatError("$", f"unknown top-level key(s) {sorted(unknown)}")
-    for key in _CATALOGS:
-        if key not in doc:
-            raise CorpusFormatError("$", f"missing top-level array {key!r}")
+    return _build_corpus(doc.items())
 
-    dup_violations: list[Violation] = []
 
-    def catalog(kind: str, items: list) -> dict:
-        table: dict[str, object] = {}
-        for item in items:
-            if item.id in table:
-                dup_violations.append(
-                    Violation("duplicate-id", item.id, f"duplicate {kind} ID")
+# Whitespace as JSON defines it, then the next character ("" at the end).
+_NEXT = re.compile(r"[ \t\n\r]*(.?)", re.DOTALL)
+_decode = json.JSONDecoder().raw_decode
+
+
+def _catalogs_of(text: str) -> Iterator[tuple[str, object]]:
+    """The (key, value) pairs of a corpus file's top-level object, in file order.
+
+    An array value is an iterator that decodes one entry per step; it must
+    be exhausted before the next pair is taken. Other values are decoded
+    whole. Between values, the walk follows json's own scanner, so a syntax
+    error raises the json.JSONDecodeError that json.loads raises, at the
+    same absolute position, unless an error in an earlier entry ends the
+    load first.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    end = 0
+
+    def entries(pos: int) -> Iterator[object]:
+        nonlocal end
+        m = _NEXT.match(text, pos)
+        if m[1] != "]":
+            while True:
+                entry, pos = _decode(text, m.start(1))
+                yield entry
+                m = _NEXT.match(text, pos)
+                if m[1] == "]":
+                    break
+                if m[1] != ",":
+                    raise json.JSONDecodeError("Expecting ',' delimiter", text, m.start(1))
+                m = _NEXT.match(text, m.end())
+        end = m.end()
+
+    m = _NEXT.match(text)
+    if m[1] != "{":
+        # not an object: json's error if no JSON value starts here
+        _decode(text, m.start(1))
+        raise CorpusFormatError("$", "top level must be an object")
+    m = _NEXT.match(text, m.end())
+    if m[1] != "}":
+        while True:
+            if m[1] != '"':
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, m.start(1)
                 )
+            key, end = _decode(text, m.start(1))
+            m = _NEXT.match(text, end)
+            if m[1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, m.start(1))
+            m = _NEXT.match(text, m.end())
+            if m[1] == "[":
+                yield key, entries(m.end())
             else:
-                table[item.id] = item
-        return table
-
-    tables = {}
-    for key, (parse, _) in _CATALOG_CODECS.items():
-        try:
-            items = _array_parser(parse)(doc[key])
-        except CorpusFormatError as exc:
-            raise _within(key, exc) from None
-        tables[key] = catalog(key[:-1].replace("_", " "), items)
-    corpus = Corpus(**tables)
-
-    violations = dup_violations + validate_corpus(corpus)
-    if violations:
-        raise IntegrityError(violations)
-    return corpus
+                value, end = _decode(text, m.start(1))
+                yield key, value
+            m = _NEXT.match(text, end)
+            if m[1] == "}":
+                break
+            if m[1] != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, m.start(1))
+            m = _NEXT.match(text, m.end())
+    m = _NEXT.match(text, m.end())
+    if m[1]:
+        raise json.JSONDecodeError("Extra data", text, m.start(1))
 
 
 def loads_corpus(text: str) -> Corpus:
+    """Parse and fully validate the text of a corpus file.
+
+    The top-level object is walked here and each catalog entry is decoded
+    and parsed on its own, so the whole JSON document never exists.
+    """
     try:
-        doc = json.loads(text)
+        return _build_corpus(_catalogs_of(text))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"line {exc.lineno}, col {exc.colno}", exc.msg) from None
     except RecursionError:
         raise CorpusFormatError("$", "nested too deeply to decode") from None
-    return parse_corpus_document(doc)
 
 
 def load_corpus(path) -> Corpus:

@@ -237,6 +237,17 @@ def test_a_pinned_load_decodes_every_file(tmp_path, f1, f1_index):
     assert index == f1_index
 
 
+def test_an_unpinned_set_views_the_file_bytes_without_copying_them(tmp_path, f1_index):
+    path = tmp_path / "f1.index.json"
+    save_index(f1_index, path)
+    body = vars(load_index(path))["_source"].body
+    # the files are a view into the bytes read from disk, header line and all
+    assert isinstance(body, memoryview)
+    assert len(body.obj) == path.stat().st_size == len(body) + body.obj.index(b"\n") + 1
+    # a full load decodes every file and then lets the bytes go
+    assert "_source" not in vars(loads_index(path.read_bytes()))
+
+
 def test_load_against_other_corpus_is_rejected(tmp_path, f1, f1_index):
     path = tmp_path / "f1.index.json"
     save_index(f1_index, path)
@@ -312,6 +323,21 @@ def test_format_error_on_a_file_that_is_not_json(f1_index):
     with pytest.raises(IndexFormatError) as err:
         loads_index(json.dumps(header) + "\n" + text + files[entry["length"]:])
     assert str(err.value) == "files.shots: line 2, col 1: Expecting value"
+
+
+def test_format_error_on_a_file_that_is_not_utf8(f1_index):
+    # the checksum holds, so the UTF-8 decode is what refuses the file
+    line, _, files = dumps_index(f1_index).encode("utf-8").partition(b"\n")
+    header = json.loads(line)
+    entry = header["files"]["shots"]
+    start = entry["offset"]
+    data = files[start:start + entry["length"]]
+    data = data[:5] + b"\xff" + data[6:]
+    entry["sha256"] = hashlib.sha256(data).hexdigest()
+    text = json.dumps(header).encode("utf-8") + b"\n" + files[:start] + data
+    with pytest.raises(IndexFormatError) as err:
+        loads_index(text + files[start + entry["length"]:])
+    assert str(err.value) == "files.shots: byte 5: not UTF-8: invalid start byte"
 
 
 def structured_index_doc(f1_index) -> dict:
